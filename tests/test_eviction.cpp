@@ -130,6 +130,44 @@ TEST(Eviction, UncappedReceiverNeverEvicts) {
       std::equal(stream.begin(), stream.end(), rx.app_data().begin()));
 }
 
+TEST(Eviction, SharedHeldPeakGaugeReadsTheMaxOverReceivers) {
+  // Every receiver of one mode shares receiver.<mode>.held_bytes_peak.
+  // The first receiver peaks higher than the second; the gauge must
+  // keep the higher peak instead of reading whichever receiver held
+  // bytes last.
+  const auto stream = pattern(96);
+  const auto tpdus = framed_tpdus(stream);
+  std::map<std::uint32_t, Chunk> by_sn;
+  for (const auto& g : tpdus) {
+    for (const auto& c : g) {
+      if (c.h.type == ChunkType::kData) by_sn[c.h.conn.sn] = c;
+    }
+  }
+
+  Simulator sim;
+  MetricsRegistry reg;
+  ObsContext obs{&reg, nullptr};
+  ReceiverConfig rc = base_config(stream.size(), DeliveryMode::kReorder);
+  rc.obs = &obs;
+  ChunkTransportReceiver high(sim, rc);
+  ChunkTransportReceiver low(sim, rc);
+
+  // C.SN 0 never arrives, so both reorder queues hold what they get.
+  for (const std::uint32_t sn : {4u, 8u, 12u, 16u}) {
+    high.on_chunk(by_sn[sn], 0);
+  }
+  low.on_chunk(by_sn[4], 0);
+  ASSERT_EQ(high.stats().held_bytes_peak, 64u);
+  ASSERT_EQ(low.stats().held_bytes_peak, 16u);
+
+  const Gauge* peak = reg.find_gauge("receiver.reorder.held_bytes_peak");
+  ASSERT_NE(peak, nullptr);
+  EXPECT_EQ(peak->value(), 64);
+  const Gauge* held = reg.find_gauge("receiver.reorder.held_bytes");
+  ASSERT_NE(held, nullptr);
+  EXPECT_EQ(held->value(), 80);
+}
+
 TEST(Eviction, ReassembleCapEvictsOldestHolderAndRecovers) {
   const auto stream = pattern(96);
   const auto tpdus = framed_tpdus(stream);

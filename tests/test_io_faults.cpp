@@ -7,9 +7,14 @@
 #include <errno.h>
 
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "src/chunk/builder.hpp"
+#include "src/chunk/codec.hpp"
 #include "src/io/event_loop.hpp"
+#include "src/io/ingress_guard.hpp"
 #include "src/io/syscall.hpp"
 #include "src/io/udp_endpoint.hpp"
 
@@ -335,6 +340,161 @@ TEST(IoFaults, BindFailureIsSurfaced) {
   UdpEndpoint ep(loop, c);
   EXPECT_FALSE(ep.ok());
   EXPECT_EQ(ep.last_error(), EADDRINUSE);
+}
+
+// The io.* counters are the endpoints' and the loop's Stats as the
+// registry sees them: after a scripted run through every fault the
+// shim can inject, each counter equals the matching Stats field summed
+// over the components that publish it, and keeps that value after the
+// components are destroyed.
+TEST(ObsBindingIo, EndpointAndLoopCountersEqualStats) {
+  MetricsRegistry reg;
+  ObsContext obs{&reg, nullptr};
+  FaultInjectingSyscalls faulty{real_syscalls()};
+  EventLoopConfig lc;
+  lc.sys = &faulty;
+  lc.obs = &obs;
+  auto loop = std::make_unique<EventLoop>(lc);
+
+  UdpEndpointConfig rc;
+  rc.bind = UdpAddress{0x7f000001, 0};
+  rc.max_datagram = 512;  // a 1000-byte datagram arrives MSG_TRUNC
+  rc.obs = &obs;
+  auto rx = std::make_unique<UdpEndpoint>(*loop, rc);
+  ASSERT_TRUE(rx->ok());
+  std::size_t got = 0;
+  rx->on_datagram([&](PooledBuffer&&, const UdpAddress&) { ++got; });
+
+  UdpEndpointConfig tc;
+  tc.bind = UdpAddress{0x7f000001, 0};
+  tc.peer = rx->local_addr();
+  tc.max_tx_queue = 6;
+  tc.reconnect_backoff_min = kMillisecond;
+  tc.obs = &obs;
+  auto tx = std::make_unique<UdpEndpoint>(*loop, tc);
+  ASSERT_TRUE(tx->ok());
+
+  faulty.fail_next(IoCall::kSendmmsg, EINTR, 2);
+  faulty.fail_next(IoCall::kSendmmsg, EAGAIN, 1);
+  faulty.fail_next(IoCall::kSendmmsg, ENOBUFS, 1);
+  faulty.fail_next(IoCall::kSendmmsg, EMSGSIZE, 1);
+  faulty.fail_next(IoCall::kSendmmsg, ECONNREFUSED, 1);
+  faulty.fail_next(IoCall::kSendmmsg, EAGAIN, 4);
+  InjectedFault partial;
+  partial.call = IoCall::kSendmmsg;
+  partial.partial = 1;
+  faulty.inject(partial);
+  faulty.fail_next(IoCall::kRecvmmsg, EINTR, 1);
+  faulty.fail_next(IoCall::kEpollWait, EINTR, 1);
+
+  tx->send(make_datagram(3000, 0));  // over max_datagram: dropped at enqueue
+  for (int i = 0; i < 10; ++i) {
+    tx->send(make_datagram(64, static_cast<std::uint8_t>(i)));
+  }
+  loop->run_until([&] { return tx->tx_queued() == 0 && got > 0; },
+                  loop->now() + 2 * kSecond);
+  tx->send(make_datagram(1000, 10));
+  loop->run_until([&] { return rx->stats().rx_truncated_dropped > 0; },
+                  loop->now() + 2 * kSecond);
+
+  const auto& t = tx->stats();
+  const auto& r = rx->stats();
+  EXPECT_GE(t.eintr_retries, 2u);
+  EXPECT_GE(t.tx_eagain, 1u);
+  EXPECT_GE(t.tx_enobufs, 1u);
+  EXPECT_GE(t.tx_oversize_dropped, 2u);
+  EXPECT_GE(t.tx_queue_dropped, 1u);
+  EXPECT_GE(t.tx_partial_batches, 1u);
+  EXPECT_GE(t.peer_unreachable, 1u);
+  EXPECT_GE(t.reconnects, 1u);
+  EXPECT_GE(r.eintr_retries, 1u);
+  EXPECT_GE(r.rx_truncated_dropped, 1u);
+  EXPECT_GE(loop->stats().eintr_retries, 1u);
+
+  using S = UdpEndpoint::Stats;
+  const std::vector<std::pair<std::string, std::uint64_t S::*>> fields = {
+      {"io.datagrams_sent", &S::datagrams_sent},
+      {"io.datagrams_received", &S::datagrams_received},
+      {"io.eintr_retries", &S::eintr_retries},
+      {"io.tx_eagain", &S::tx_eagain},
+      {"io.tx_enobufs", &S::tx_enobufs},
+      {"io.tx_partial_batches", &S::tx_partial_batches},
+      {"io.tx_oversize_dropped", &S::tx_oversize_dropped},
+      {"io.tx_queue_dropped", &S::tx_queue_dropped},
+      {"io.rx_truncated_dropped", &S::rx_truncated_dropped},
+      {"io.peer_unreachable", &S::peer_unreachable},
+      {"io.reconnects", &S::reconnects},
+  };
+  std::vector<std::uint64_t> want;
+  for (const auto& [name, field] : fields) {
+    const Counter* c = reg.find_counter(name);
+    ASSERT_NE(c, nullptr) << name;
+    want.push_back(t.*field + r.*field);
+    EXPECT_EQ(c->value(), want.back()) << name;
+  }
+  const std::uint64_t loop_eintr = loop->stats().eintr_retries;
+  ASSERT_NE(reg.find_counter("io.loop.eintr_retries"), nullptr);
+  EXPECT_EQ(reg.find_counter("io.loop.eintr_retries")->value(), loop_eintr);
+
+  // The counts outlive the components that made them.
+  tx.reset();
+  rx.reset();
+  loop.reset();
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    EXPECT_EQ(reg.find_counter(fields[i].first)->value(), want[i])
+        << fields[i].first;
+  }
+  EXPECT_EQ(reg.find_counter("io.loop.eintr_retries")->value(), loop_eintr);
+}
+
+TEST(ObsBindingIo, GuardCountersEqualStats) {
+  MetricsRegistry reg;
+  ObsContext obs{&reg, nullptr};
+  IngressGuardConfig gc;
+  gc.rate_per_sec = 1.0;
+  gc.burst = 6.0;
+  gc.obs = &obs;
+  auto guard = std::make_unique<IngressGuard>(gc);
+
+  FramerOptions fo;
+  fo.connection_id = 5;
+  const std::vector<std::uint8_t> payload(64, 0xA5);
+  const PacketBytes good(encode_packet(frame_stream(payload, fo), 1500));
+  const PacketBytes garbage(std::vector<std::uint8_t>(40, 0xEE));
+  const UdpAddress from{0x7f000001, 4000};
+  std::vector<ChunkView> views;
+  const SimTime now = kSecond;
+
+  EXPECT_EQ(guard->screen(good, from, now, views),
+            IngressGuard::Verdict::kAccept);
+  EXPECT_EQ(guard->screen(garbage, from, now, views),
+            IngressGuard::Verdict::kMalformed);
+  guard->remember_refusal(5, now);
+  EXPECT_EQ(guard->screen(good, from, now, views),
+            IngressGuard::Verdict::kRefusedConn);
+  for (int i = 0; i < 6; ++i) guard->screen(garbage, from, now, views);
+  EXPECT_GE(guard->stats().rate_limited, 1u);
+
+  using S = IngressGuard::Stats;
+  const std::vector<std::pair<std::string, std::uint64_t S::*>> fields = {
+      {"ingress.accepted", &S::accepted},
+      {"ingress.rate_limited", &S::rate_limited},
+      {"ingress.malformed", &S::malformed},
+      {"ingress.refused_conn", &S::refused_conn},
+  };
+  std::vector<std::uint64_t> want;
+  for (const auto& [name, field] : fields) {
+    const Counter* c = reg.find_counter(name);
+    ASSERT_NE(c, nullptr) << name;
+    want.push_back(guard->stats().*field);
+    EXPECT_GT(want.back(), 0u) << name;
+    EXPECT_EQ(c->value(), want.back()) << name;
+  }
+  guard.reset();
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    EXPECT_EQ(reg.find_counter(fields[i].first)->value(), want[i])
+        << fields[i].first;
+  }
 }
 
 }  // namespace

@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "src/netsim/link.hpp"
 #include "src/netsim/simulator.hpp"
@@ -93,10 +96,11 @@ struct IpHarness {
 
   IpHarness(LinkConfig fwd_cfg, std::size_t stream_bytes,
             std::size_t tpdu_bytes = 4096,
-            std::size_t pool_bytes = 1 << 20) {
+            std::size_t pool_bytes = 1 << 20, ObsContext* obs = nullptr) {
     IpReceiverConfig rc;
     rc.app_buffer_bytes = stream_bytes;
     rc.reassembly_pool_bytes = pool_bytes;
+    rc.obs = obs;
     rc.send_control = [this](std::vector<std::uint8_t> body) {
       SimPacket sp;
       sp.bytes = std::move(body);
@@ -111,6 +115,7 @@ struct IpHarness {
     sc.tpdu_bytes = tpdu_bytes;
     sc.mtu = fwd_cfg.mtu;
     sc.retransmit_timeout = 20 * kMillisecond;
+    sc.obs = obs;
     sc.send_packet = [this](std::vector<std::uint8_t> bytes) {
       SimPacket sp;
       sp.bytes = std::move(bytes);
@@ -224,6 +229,59 @@ TEST(IpTransportE2E, TinyPoolLocksUpUnderDisorder) {
   h.sender->send_stream(stream);
   h.sim.run(30 * kSecond);
   EXPECT_GT(h.receiver->stats().pool_lockups, 0u);
+}
+
+// The ip_sender.* / ip_receiver.* counters are the baseline's Stats as
+// the registry sees them, during the run and after both ends are gone.
+TEST(ObsBindingIp, CountersEqualStatsAndOutliveTheEndpoints) {
+  MetricsRegistry reg;
+  ObsContext obs{&reg, nullptr};
+  LinkConfig cfg;
+  cfg.mtu = 576;
+  cfg.loss_rate = 0.05;
+  const auto stream = pattern(32 * 1024);
+  IpHarness h(cfg, stream.size(), 4096, 1 << 20, &obs);
+  h.sender->send_stream(stream);
+  h.sim.run(20 * kSecond);
+  ASSERT_EQ(h.receiver->bytes_delivered(), stream.size());
+  EXPECT_GT(h.sender->stats().retransmissions, 0u);
+
+  using SS = IpFragTransportSender::Stats;
+  const std::vector<std::pair<std::string, std::uint64_t SS::*>> sent = {
+      {"ip_sender.datagrams_sent", &SS::datagrams_sent},
+      {"ip_sender.retransmissions", &SS::retransmissions},
+      {"ip_sender.gave_up", &SS::gave_up},
+      {"ip_sender.packets_sent", &SS::packets_sent},
+      {"ip_sender.bytes_sent", &SS::bytes_sent},
+  };
+  using RS = IpFragTransportReceiver::Stats;
+  const std::vector<std::pair<std::string, std::uint64_t RS::*>> recv = {
+      {"ip_receiver.fragments", &RS::fragments},
+      {"ip_receiver.malformed", &RS::malformed},
+      {"ip_receiver.datagrams_ok", &RS::datagrams_ok},
+      {"ip_receiver.datagrams_bad_crc", &RS::datagrams_bad_crc},
+      {"ip_receiver.bus_bytes", &RS::bus_bytes},
+  };
+  std::vector<std::pair<std::string, std::uint64_t>> want;
+  for (const auto& [name, field] : sent) {
+    want.emplace_back(name, h.sender->stats().*field);
+  }
+  for (const auto& [name, field] : recv) {
+    want.emplace_back(name, h.receiver->stats().*field);
+  }
+  want.emplace_back("ip_receiver.bytes_delivered",
+                    h.receiver->bytes_delivered());
+  for (const auto& [name, value] : want) {
+    const Counter* c = reg.find_counter(name);
+    ASSERT_NE(c, nullptr) << name;
+    EXPECT_EQ(c->value(), value) << name;
+  }
+
+  h.sender.reset();
+  h.receiver.reset();
+  for (const auto& [name, value] : want) {
+    EXPECT_EQ(reg.find_counter(name)->value(), value) << name;
+  }
 }
 
 }  // namespace

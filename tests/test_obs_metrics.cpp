@@ -5,14 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "src/chunk/builder.hpp"
+#include "src/common/buffer_pool.hpp"
 #include "src/common/rng.hpp"
 #include "src/obs/json.hpp"
 #include "src/obs/obs.hpp"
 #include "src/pipeline/parallel.hpp"
+#include "src/reassembly/virtual_reassembly.hpp"
 
 namespace chunknet {
 namespace {
@@ -217,6 +220,62 @@ TEST(ObsParallel, NullObsStillWorks) {
   std::vector<std::uint8_t> app(4096, 0);
   const auto r = process_chunks_parallel(chunks, app, 0, 4, nullptr);
   EXPECT_EQ(r.bytes_placed, 4096u);
+}
+
+// Components the chaos snapshots never reach: their registry counters
+// equal their Stats, and keep the value once the component is gone.
+TEST(ObsBinding, PoolTrimmedCounterEqualsStats) {
+  MetricsRegistry reg;
+  ObsContext obs{&reg, nullptr};
+  auto pool = std::make_unique<PacketBufferPool>(64, 2);
+  pool->attach_obs(&obs);
+  std::vector<PooledBuffer> held;
+  for (int i = 0; i < 4; ++i) held.push_back(pool->acquire());
+  held.clear();  // two retained, two trimmed over the cap
+  pool->trim(0);
+  const std::uint64_t trimmed = pool->stats().trimmed;
+  EXPECT_EQ(trimmed, 4u);
+  const Counter* c = reg.find_counter("pool.trimmed_buffers");
+  ASSERT_NE(c, nullptr);
+  EXPECT_EQ(c->value(), trimmed);
+  pool.reset();
+  EXPECT_EQ(c->value(), trimmed);
+}
+
+TEST(ObsBinding, VirtualReassemblyCountersEqualStats) {
+  MetricsRegistry reg;
+  ObsContext obs{&reg, nullptr};
+  auto vr = std::make_unique<VirtualReassembler>();
+  vr->set_obs(&obs);
+  const PduKey key{1, 1};
+  EXPECT_EQ(vr->add(key, 0, 4, false), PieceVerdict::kAccept);
+  EXPECT_EQ(vr->add(key, 4, 4, true), PieceVerdict::kAccept);
+  EXPECT_EQ(vr->add(key, 0, 4, false), PieceVerdict::kDuplicate);
+  EXPECT_EQ(vr->add(key, 8, 4, false), PieceVerdict::kAfterStop);
+  const PduKey open{1, 2};
+  EXPECT_EQ(vr->add(open, 0, 4, false), PieceVerdict::kAccept);
+  EXPECT_EQ(vr->add(open, 2, 4, false), PieceVerdict::kOverlap);
+
+  using S = VirtualReassembler::Stats;
+  const std::vector<std::pair<const char*, std::uint64_t S::*>> fields = {
+      {"vreass.pieces_accepted", &S::pieces_accepted},
+      {"vreass.duplicates_rejected", &S::duplicates_rejected},
+      {"vreass.overlaps_rejected", &S::overlaps_rejected},
+      {"vreass.framing_errors", &S::framing_errors},
+  };
+  std::vector<std::uint64_t> want;
+  for (const auto& [name, field] : fields) {
+    const Counter* c = reg.find_counter(name);
+    ASSERT_NE(c, nullptr) << name;
+    want.push_back(vr->stats().*field);
+    EXPECT_GT(want.back(), 0u) << name;
+    EXPECT_EQ(c->value(), want.back()) << name;
+  }
+  vr.reset();
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    EXPECT_EQ(reg.find_counter(fields[i].first)->value(), want[i])
+        << fields[i].first;
+  }
 }
 
 }  // namespace

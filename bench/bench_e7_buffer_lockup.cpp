@@ -36,13 +36,13 @@ IpRun run_ip(std::size_t pool_bytes, int lanes, SimTime skew) {
 
   Simulator sim;
   Rng rng(7);
+  // Declared before the endpoints: a registry outlives what binds to it.
+  MetricsRegistry reg;
+  ObsContext obs{&reg, nullptr};
   std::unique_ptr<IpFragTransportReceiver> receiver;
   std::unique_ptr<IpFragTransportSender> sender;
   std::unique_ptr<Link> forward;
   std::unique_ptr<Link> reverse;
-
-  MetricsRegistry reg;
-  ObsContext obs{&reg, nullptr};
 
   IpReceiverConfig rc;
   rc.app_buffer_bytes = kStreamBytes;

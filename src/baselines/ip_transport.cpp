@@ -79,14 +79,12 @@ IpFragTransportSender::IpFragTransportSender(Simulator& sim,
     : sim_(sim),
       cfg_(std::move(cfg)),
       rto_(cfg_.rto, cfg_.retransmit_timeout) {
-  if (cfg_.obs != nullptr && cfg_.obs->metrics != nullptr) {
-    MetricsRegistry& reg = *cfg_.obs->metrics;
-    m_.datagrams_sent = &reg.counter("ip_sender.datagrams_sent");
-    m_.retransmissions = &reg.counter("ip_sender.retransmissions");
-    m_.gave_up = &reg.counter("ip_sender.gave_up");
-    m_.packets_sent = &reg.counter("ip_sender.packets_sent");
-    m_.bytes_sent = &reg.counter("ip_sender.bytes_sent");
-  }
+  stats_binding_.bind(metrics_of(cfg_.obs), "ip_sender.", stats_,
+                      {{"datagrams_sent", &Stats::datagrams_sent},
+                       {"retransmissions", &Stats::retransmissions},
+                       {"gave_up", &Stats::gave_up},
+                       {"packets_sent", &Stats::packets_sent},
+                       {"bytes_sent", &Stats::bytes_sent}});
 }
 
 void IpFragTransportSender::send_stream(
@@ -109,7 +107,6 @@ void IpFragTransportSender::send_stream(
     const std::uint32_t id = next_id_++;
     auto [it, inserted] = outstanding_.emplace(id, std::move(p));
     ++stats_.datagrams_sent;
-    obs_add(m_.datagrams_sent);
     transmit(id, it->second);
     pos += n;
   }
@@ -129,8 +126,6 @@ void IpFragTransportSender::transmit(std::uint32_t id, Pending& p) {
         std::span<const std::uint8_t>(p.datagram).subspan(off, n));
     stats_.bytes_sent += pkt.size();
     ++stats_.packets_sent;
-    obs_add(m_.packets_sent);
-    obs_add(m_.bytes_sent, pkt.size());
     if (cfg_.send_packet) cfg_.send_packet(std::move(pkt));
     off += n;
   }
@@ -147,13 +142,11 @@ void IpFragTransportSender::arm_timer(std::uint32_t id) {
     if (it->second.last_sent > armed_at) return;
     if (it->second.attempts > cfg_.max_retransmits) {
       ++stats_.gave_up;
-      obs_add(m_.gave_up);
       outstanding_.erase(it);
       return;
     }
     rto_.on_timeout();
     ++stats_.retransmissions;
-    obs_add(m_.retransmissions);
     transmit(id, it->second);
   });
 }
@@ -174,12 +167,10 @@ void IpFragTransportSender::on_packet(SimPacket pkt) {
   } else if (kind == 'N') {
     if (it->second.attempts > cfg_.max_retransmits) {
       ++stats_.gave_up;
-      obs_add(m_.gave_up);
       outstanding_.erase(it);
       return;
     }
     ++stats_.retransmissions;
-    obs_add(m_.retransmissions);
     transmit(id, it->second);
   }
 }
@@ -194,12 +185,14 @@ IpFragTransportReceiver::IpFragTransportReceiver(Simulator& sim,
       app_buffer_(cfg_.app_buffer_bytes, 0) {
   if (cfg_.obs != nullptr && cfg_.obs->metrics != nullptr) {
     MetricsRegistry& reg = *cfg_.obs->metrics;
-    m_.fragments = &reg.counter("ip_receiver.fragments");
-    m_.malformed = &reg.counter("ip_receiver.malformed");
-    m_.datagrams_ok = &reg.counter("ip_receiver.datagrams_ok");
-    m_.datagrams_bad_crc = &reg.counter("ip_receiver.datagrams_bad_crc");
-    m_.bus_bytes = &reg.counter("ip_receiver.bus_bytes");
-    m_.bytes_delivered = &reg.counter("ip_receiver.bytes_delivered");
+    stats_binding_.bind(&reg, "ip_receiver.", stats_,
+                        {{"fragments", &Stats::fragments},
+                         {"malformed", &Stats::malformed},
+                         {"datagrams_ok", &Stats::datagrams_ok},
+                         {"datagrams_bad_crc", &Stats::datagrams_bad_crc},
+                         {"bus_bytes", &Stats::bus_bytes}});
+    stats_binding_.bind(&reg, "ip_receiver.bytes_delivered",
+                        bytes_delivered_);
     m_.pool_lockups = &reg.gauge("ip_receiver.pool_lockups");
     m_.pool_frags_dropped = &reg.gauge("ip_receiver.pool_frags_dropped");
     m_.delivery_latency = &reg.histogram("ip_receiver.delivery_latency_ns");
@@ -208,11 +201,9 @@ IpFragTransportReceiver::IpFragTransportReceiver(Simulator& sim,
 
 void IpFragTransportReceiver::on_packet(SimPacket pkt) {
   ++stats_.fragments;
-  obs_add(m_.fragments);
   const DecodedIpFragment f = decode_ip_fragment(pkt.bytes);
   if (!f.ok) {
     ++stats_.malformed;
-    obs_add(m_.malformed);
     return;
   }
   stream_base_.emplace(f.dgram_id, f.stream_base);
@@ -230,7 +221,6 @@ void IpFragTransportReceiver::on_packet(SimPacket pkt) {
   if (outcome == IpReassemblyOutcome::kStored ||
       outcome == IpReassemblyOutcome::kCompleted) {
     stats_.bus_bytes += frag.data.size();
-    obs_add(m_.bus_bytes, frag.data.size());
   }
   if (outcome != IpReassemblyOutcome::kCompleted) {
     if (pool_.stats().lockup_events > stats_.pool_lockups) {
@@ -249,7 +239,6 @@ void IpFragTransportReceiver::on_packet(SimPacket pkt) {
   // Datagram = payload + 4-byte CRC trailer.
   if (datagram->size() < 4) {
     ++stats_.datagrams_bad_crc;
-    obs_add(m_.datagrams_bad_crc);
     return;
   }
   const std::size_t payload_len = datagram->size() - 4;
@@ -261,7 +250,6 @@ void IpFragTransportReceiver::on_packet(SimPacket pkt) {
   const std::uint32_t base = stream_base_[f.dgram_id];
   if (actual != expect) {
     ++stats_.datagrams_bad_crc;
-    obs_add(m_.datagrams_bad_crc);
     if (cfg_.send_control) {
       std::vector<std::uint8_t> nak;
       ByteWriter w(nak);
@@ -279,11 +267,8 @@ void IpFragTransportReceiver::on_packet(SimPacket pkt) {
               app_buffer_.begin() + base);
     stats_.bus_bytes += payload_len;
     bytes_delivered_ += payload_len;
-    obs_add(m_.bus_bytes, payload_len);
-    obs_add(m_.bytes_delivered, payload_len);
   }
   ++stats_.datagrams_ok;
-  obs_add(m_.datagrams_ok);
   const double latency =
       static_cast<double>(sim_.now() - first_fragment_at_[f.dgram_id]);
   // One latency sample per 4-byte element, comparable with the chunk

@@ -107,22 +107,14 @@ class IpFragTransportSender final : public PacketSink {
   void transmit(std::uint32_t id, Pending& p);
   void arm_timer(std::uint32_t id);
 
-  struct ObsHandles {
-    Counter* datagrams_sent{nullptr};
-    Counter* retransmissions{nullptr};
-    Counter* gave_up{nullptr};
-    Counter* packets_sent{nullptr};
-    Counter* bytes_sent{nullptr};
-  };
-
   Simulator& sim_;
   IpSenderConfig cfg_;
   RtoEstimator rto_;
-  ObsHandles m_;
   std::map<std::uint32_t, Pending> outstanding_;
   std::uint32_t next_id_{1};
   bool started_{false};
   Stats stats_;
+  StatsBinding stats_binding_;  ///< after stats_: publishes its fields
 };
 
 struct IpReceiverConfig {
@@ -158,12 +150,6 @@ class IpFragTransportReceiver final : public PacketSink {
 
  private:
   struct ObsHandles {
-    Counter* fragments{nullptr};
-    Counter* malformed{nullptr};
-    Counter* datagrams_ok{nullptr};
-    Counter* datagrams_bad_crc{nullptr};
-    Counter* bus_bytes{nullptr};
-    Counter* bytes_delivered{nullptr};
     Gauge* pool_lockups{nullptr};
     Gauge* pool_frags_dropped{nullptr};
     Histogram* delivery_latency{nullptr};
@@ -178,6 +164,8 @@ class IpFragTransportReceiver final : public PacketSink {
   std::vector<std::uint8_t> app_buffer_;
   std::uint64_t bytes_delivered_{0};
   Stats stats_;
+  /// After bytes_delivered_ and stats_: publishes their fields.
+  StatsBinding stats_binding_;
 };
 
 }  // namespace chunknet

@@ -409,8 +409,8 @@ ChaosResult run_chaos(const ChaosScenario& sc, ChaosCapture* capture) {
                  "%llu",
                  ss.tpdus_sent, ss.tpdus_acked + ss.gave_up));
   }
-  // Cross-check the PR 1 metrics registry against the struct counters:
-  // both views of the run must agree exactly.
+  // Cross-check the registry against the Stats structs its counters
+  // are bound to: the binding must publish every field exactly.
   const std::string p = std::string("receiver.") + to_string(sc.mode) + ".";
   const struct {
     const char* name;

@@ -35,7 +35,7 @@ void PacketBufferPool::attach_governor(ResourceGovernor* governor,
 void PacketBufferPool::attach_obs(ObsContext* obs) {
   if (obs == nullptr || obs->metrics == nullptr) return;
   g_retained_ = &obs->metrics->gauge("pool.retained_bytes");
-  c_trimmed_ = &obs->metrics->counter("pool.trimmed_buffers");
+  stats_binding_.bind(obs->metrics, "pool.trimmed_buffers", stats_.trimmed);
   std::lock_guard<std::mutex> lk(mu_);
   g_retained_->set(static_cast<std::int64_t>(retained_));
 }
@@ -77,7 +77,6 @@ void PacketBufferPool::release(PacketBytes storage) {
     ++stats_.releases;
     if (max_free_ > 0 && free_.size() >= max_free_) {
       ++stats_.trimmed;  // over the cap: the storage is freed, not parked
-      obs_add(c_trimmed_);
     } else {
       free_.push_back(std::move(storage));
       retained_ += cap;
@@ -97,7 +96,6 @@ std::uint64_t PacketBufferPool::drop_locked(std::size_t n) {
     dropped += free_.back().capacity();
     free_.pop_back();
     ++stats_.trimmed;
-    obs_add(c_trimmed_);
   }
   retained_ -= std::min(retained_, dropped);
   min_free_since_tick_ = std::min(min_free_since_tick_, free_.size());

@@ -104,8 +104,9 @@ class PacketBufferPool {
   /// Call before traffic starts; `governor` must outlive the pool.
   void attach_governor(ResourceGovernor* governor, std::uint32_t client = 0);
 
-  /// Resolves the `pool.retained_bytes` gauge / `pool.trimmed_buffers`
-  /// counter (null-tolerant, like every other obs site).
+  /// Resolves the `pool.retained_bytes` gauge and binds the
+  /// `pool.trimmed_buffers` counter to stats().trimmed (null-tolerant,
+  /// like every other obs site). Call once.
   void attach_obs(ObsContext* obs);
 
   /// Pops a free buffer (cleared, capacity retained) or allocates one.
@@ -150,7 +151,7 @@ class PacketBufferPool {
   ResourceGovernor* governor_{nullptr};
   std::uint32_t governor_client_{0};
   Gauge* g_retained_{nullptr};
-  Counter* c_trimmed_{nullptr};
+  StatsBinding stats_binding_;  ///< after stats_: publishes `trimmed`
 };
 
 inline void PooledBuffer::reset() {

@@ -23,11 +23,12 @@ ResourceGovernor::ResourceGovernor(GovernorConfig cfg) : cfg_(cfg) {
     g_peak_ = &m.gauge("governor.charged_peak");
     g_reserved_ = &m.gauge("governor.reserved_bytes");
     g_clients_ = &m.gauge("governor.clients");
-    c_admissions_ = &m.counter("governor.admissions");
-    c_admission_refused_ = &m.counter("governor.admission_refused");
-    c_sheds_ = &m.counter("governor.sheds");
-    c_shed_bytes_ = &m.counter("governor.shed_bytes");
-    c_soft_crossings_ = &m.counter("governor.soft_crossings");
+    stats_binding_.bind(&m, "governor.", stats_,
+                        {{"admissions", &Stats::admissions},
+                         {"admission_refused", &Stats::admission_refused},
+                         {"sheds", &Stats::sheds},
+                         {"shed_bytes", &Stats::shed_bytes},
+                         {"soft_crossings", &Stats::soft_crossings}});
     m.gauge("governor.soft_watermark").set(
         static_cast<std::int64_t>(cfg_.soft_watermark_bytes));
     m.gauge("governor.hard_watermark").set(
@@ -68,7 +69,6 @@ bool ResourceGovernor::try_admit(std::uint32_t client,
   const std::uint64_t committed = charged_ + reserved_;
   if (committed + reserve_bytes > cfg_.hard_watermark_bytes) {
     ++stats_.admission_refused;
-    obs_add(c_admission_refused_);
     return false;
   }
   Client& c = entry_locked(client);
@@ -77,7 +77,6 @@ bool ResourceGovernor::try_admit(std::uint32_t client,
   c.reserve = reserve_bytes;
   reserved_ += reserve_bytes;
   ++stats_.admissions;
-  obs_add(c_admissions_);
   publish_locked();
   return true;
 }
@@ -87,14 +86,12 @@ bool ResourceGovernor::acquire_admission_lease(std::uint32_t lease_id,
   std::lock_guard<std::mutex> lk(mu_);
   if (charged_ + reserved_ + bytes > cfg_.hard_watermark_bytes) {
     ++stats_.admission_refused;
-    obs_add(c_admission_refused_);
     return false;
   }
   Client& c = entry_locked(lease_id);
   c.reserve += bytes;
   reserved_ += bytes;
   ++stats_.admissions;
-  obs_add(c_admissions_);
   publish_locked();
   return true;
 }
@@ -121,7 +118,6 @@ void ResourceGovernor::charge(std::uint32_t client, ResourceClass cls,
   stats_.charged_peak = std::max(stats_.charged_peak, charged_);
   if (!was_soft && charged_ > cfg_.soft_watermark_bytes) {
     ++stats_.soft_crossings;
-    obs_add(c_soft_crossings_);
   }
   publish_locked();
 }
@@ -196,8 +192,6 @@ std::uint64_t ResourceGovernor::shed_until_goal(
       std::lock_guard<std::mutex> lk(mu_);
       ++stats_.sheds;
       stats_.shed_bytes += freed;
-      obs_add(c_sheds_);
-      obs_add(c_shed_bytes_, freed);
     }
     if (cfg_.obs != nullptr && cfg_.obs->spans != nullptr) {
       SpanEvent e;

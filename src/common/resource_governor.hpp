@@ -174,11 +174,7 @@ class ResourceGovernor {
   Gauge* g_peak_{nullptr};
   Gauge* g_reserved_{nullptr};
   Gauge* g_clients_{nullptr};
-  Counter* c_admissions_{nullptr};
-  Counter* c_admission_refused_{nullptr};
-  Counter* c_sheds_{nullptr};
-  Counter* c_shed_bytes_{nullptr};
-  Counter* c_soft_crossings_{nullptr};
+  StatsBinding stats_binding_;  ///< after stats_: publishes its fields
 };
 
 }  // namespace chunknet

@@ -15,9 +15,8 @@ EventLoop::EventLoop(EventLoopConfig cfg)
   // fds across exec would pin the loop alive in the child.
   epfd_ = sys_->sys_epoll_create1(EPOLL_CLOEXEC);
   event_buf_.resize(64);
-  if (cfg_.obs != nullptr && cfg_.obs->metrics != nullptr) {
-    c_eintr_ = &cfg_.obs->metrics->counter("io.loop.eintr_retries");
-  }
+  stats_binding_.bind(metrics_of(cfg_.obs), "io.loop.eintr_retries",
+                      stats_.eintr_retries);
 }
 
 EventLoop::~EventLoop() {
@@ -86,7 +85,6 @@ int EventLoop::poll_once(SimTime max_wait) {
       // A signal is not an error: count it and let the caller's loop
       // re-enter with deadlines intact.
       ++stats_.eintr_retries;
-      if (c_eintr_ != nullptr) c_eintr_->add();
       n = 0;
     } else {
       n = 0;  // hard epoll failure: surfaces via stats_.polls stalling

@@ -103,7 +103,7 @@ class EventLoop {
   FlatMap<int, FdCallback> fds_;
   std::vector<epoll_event> event_buf_;
   Stats stats_;
-  Counter* c_eintr_{nullptr};
+  StatsBinding stats_binding_;  ///< after stats_: publishes eintr_retries
 };
 
 }  // namespace chunknet

@@ -6,13 +6,11 @@ namespace chunknet {
 
 IngressGuard::IngressGuard(IngressGuardConfig cfg) : cfg_(cfg) {
   overflow_ = Bucket{cfg_.burst, 0};
-  if (cfg_.obs != nullptr && cfg_.obs->metrics != nullptr) {
-    MetricsRegistry& m = *cfg_.obs->metrics;
-    m_.accepted = &m.counter("ingress.accepted");
-    m_.rate_limited = &m.counter("ingress.rate_limited");
-    m_.malformed = &m.counter("ingress.malformed");
-    m_.refused_conn = &m.counter("ingress.refused_conn");
-  }
+  stats_binding_.bind(metrics_of(cfg_.obs), "ingress.", stats_,
+                      {{"accepted", &Stats::accepted},
+                       {"rate_limited", &Stats::rate_limited},
+                       {"malformed", &Stats::malformed},
+                       {"refused_conn", &Stats::refused_conn}});
 }
 
 bool IngressGuard::take_token(Bucket& b, SimTime now) {
@@ -46,7 +44,6 @@ IngressGuard::Verdict IngressGuard::screen(const PacketBytes& bytes,
   }
   if (!take_token(*bucket, now)) {
     ++stats_.rate_limited;
-    obs_add(m_.rate_limited);
     return Verdict::kRateLimited;
   }
 
@@ -55,7 +52,6 @@ IngressGuard::Verdict IngressGuard::screen(const PacketBytes& bytes,
   if (!decode_packet_views(bytes, views)) {
     views.clear();
     ++stats_.malformed;
-    obs_add(m_.malformed);
     return Verdict::kMalformed;
   }
   if (views.empty()) {
@@ -75,12 +71,10 @@ IngressGuard::Verdict IngressGuard::screen(const PacketBytes& bytes,
   if (!any_admissible) {
     views.clear();
     ++stats_.refused_conn;
-    obs_add(m_.refused_conn);
     return Verdict::kRefusedConn;
   }
 
   ++stats_.accepted;
-  obs_add(m_.accepted);
   return Verdict::kAccept;
 }
 

@@ -105,12 +105,7 @@ class IngressGuard {
   Bucket overflow_{};
   FlatMap<std::uint32_t, RefusedEntry> refused_;
   Stats stats_;
-  struct {
-    Counter* accepted{nullptr};
-    Counter* rate_limited{nullptr};
-    Counter* malformed{nullptr};
-    Counter* refused_conn{nullptr};
-  } m_;
+  StatsBinding stats_binding_;  ///< after stats_: publishes its fields
 };
 
 }  // namespace chunknet

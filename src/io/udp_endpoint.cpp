@@ -36,17 +36,19 @@ UdpEndpoint::UdpEndpoint(EventLoop& loop, UdpEndpointConfig cfg)
       pool_(cfg.pool != nullptr ? cfg.pool : &own_pool_) {
   if (cfg_.obs != nullptr && cfg_.obs->metrics != nullptr) {
     MetricsRegistry& m = *cfg_.obs->metrics;
-    m_.datagrams_sent = &m.counter("io.datagrams_sent");
-    m_.datagrams_received = &m.counter("io.datagrams_received");
-    m_.eintr_retries = &m.counter("io.eintr_retries");
-    m_.tx_eagain = &m.counter("io.tx_eagain");
-    m_.tx_enobufs = &m.counter("io.tx_enobufs");
-    m_.tx_partial_batches = &m.counter("io.tx_partial_batches");
-    m_.tx_oversize_dropped = &m.counter("io.tx_oversize_dropped");
-    m_.tx_queue_dropped = &m.counter("io.tx_queue_dropped");
-    m_.rx_truncated_dropped = &m.counter("io.rx_truncated_dropped");
-    m_.peer_unreachable = &m.counter("io.peer_unreachable");
-    m_.reconnects = &m.counter("io.reconnects");
+    stats_binding_.bind(
+        &m, "io.", stats_,
+        {{"datagrams_sent", &Stats::datagrams_sent},
+         {"datagrams_received", &Stats::datagrams_received},
+         {"eintr_retries", &Stats::eintr_retries},
+         {"tx_eagain", &Stats::tx_eagain},
+         {"tx_enobufs", &Stats::tx_enobufs},
+         {"tx_partial_batches", &Stats::tx_partial_batches},
+         {"tx_oversize_dropped", &Stats::tx_oversize_dropped},
+         {"tx_queue_dropped", &Stats::tx_queue_dropped},
+         {"rx_truncated_dropped", &Stats::rx_truncated_dropped},
+         {"peer_unreachable", &Stats::peer_unreachable},
+         {"reconnects", &Stats::reconnects}});
     m_.tx_backpressure = &m.gauge("io.tx_backpressure");
     m_.tx_queued_bytes = &m.gauge("io.tx_queued_bytes");
   }
@@ -142,21 +144,18 @@ void UdpEndpoint::enqueue(TxDatagram d) {
   if (closed_ || fd_ < 0) {
     // The socket is gone; be honest about the loss.
     ++stats_.tx_queue_dropped;
-    obs_add(m_.tx_queue_dropped);
     return;
   }
   if (d.bytes.size() > cfg_.max_datagram) {
     // Would be EMSGSIZE at the kernel anyway — reject up front so one
     // oversized envelope cannot wedge the head of the queue.
     ++stats_.tx_oversize_dropped;
-    obs_add(m_.tx_oversize_dropped);
     return;
   }
   if (txq_.size() >= cfg_.max_tx_queue) {
     // Drop the NEWEST datagram: the queued head is oldest and most
     // likely to be an in-flight retransmit the peer is waiting on.
     ++stats_.tx_queue_dropped;
-    obs_add(m_.tx_queue_dropped);
     return;
   }
   charge_tx(d.bytes.size());
@@ -165,14 +164,13 @@ void UdpEndpoint::enqueue(TxDatagram d) {
   flush();
 }
 
-void UdpEndpoint::drop_tx_head(std::uint64_t* counter, Counter* metric) {
+void UdpEndpoint::drop_tx_head(std::uint64_t& counter) {
   if (txq_.empty()) return;
   const std::uint64_t n = txq_.front().bytes.size();
   txq_.pop_front();
   txq_bytes_ -= n;
   release_tx(n);
-  ++*counter;
-  obs_add(metric);
+  ++counter;
 }
 
 void UdpEndpoint::flush() {
@@ -204,7 +202,6 @@ void UdpEndpoint::flush() {
       switch (err) {
         case EINTR:
           ++stats_.eintr_retries;
-          obs_add(m_.eintr_retries);
           continue;  // retry the same batch
         case EAGAIN:
 #if EAGAIN != EWOULDBLOCK
@@ -212,7 +209,6 @@ void UdpEndpoint::flush() {
 #endif
           // Socket buffer full: keep the queue, let EPOLLOUT call back.
           ++stats_.tx_eagain;
-          obs_add(m_.tx_eagain);
           update_epollout();
           return;
         case ENOBUFS:
@@ -221,14 +217,13 @@ void UdpEndpoint::flush() {
           // charged to the governor, shrinking credit grants upstream)
           // and retry after a backoff.
           ++stats_.tx_enobufs;
-          obs_add(m_.tx_enobufs);
           enter_backpressure();
           arm_flush_in(cfg_.enobufs_backoff);
           return;
         case EMSGSIZE:
           // Only the head datagram is at fault; drop it VISIBLY and
           // keep the rest of the queue moving.
-          drop_tx_head(&stats_.tx_oversize_dropped, m_.tx_oversize_dropped);
+          drop_tx_head(stats_.tx_oversize_dropped);
           continue;
         case ECONNREFUSED:
           handle_conn_refused();
@@ -237,7 +232,7 @@ void UdpEndpoint::flush() {
           // Unknown kernel refusal: treat like EAGAIN but bounded —
           // drop the head so a permanently poisoned datagram cannot
           // wedge the queue forever, then retry the rest later.
-          drop_tx_head(&stats_.tx_queue_dropped, m_.tx_queue_dropped);
+          drop_tx_head(stats_.tx_queue_dropped);
           arm_flush_in(cfg_.enobufs_backoff);
           return;
       }
@@ -245,7 +240,6 @@ void UdpEndpoint::flush() {
     ++stats_.sendmmsg_calls;
     if (static_cast<unsigned>(sent) < n) {
       ++stats_.tx_partial_batches;
-      obs_add(m_.tx_partial_batches);
     }
     for (int i = 0; i < sent; ++i) {
       const std::uint64_t sz = txq_.front().bytes.size();
@@ -255,7 +249,6 @@ void UdpEndpoint::flush() {
       ++stats_.datagrams_sent;
       stats_.bytes_sent += sz;
     }
-    obs_add(m_.datagrams_sent, static_cast<std::uint64_t>(sent));
     // Progress resets the peer-gone backoff.
     reconnect_backoff_ = 0;
   }
@@ -296,7 +289,6 @@ void UdpEndpoint::handle_conn_refused() {
   // the source of truth for what must be retransmitted — and retry on
   // a bounded exponential backoff so a dead peer costs little CPU.
   ++stats_.peer_unreachable;
-  obs_add(m_.peer_unreachable);
   if (reconnect_backoff_ == 0) {
     reconnect_backoff_ = cfg_.reconnect_backoff_min;
   } else {
@@ -304,7 +296,6 @@ void UdpEndpoint::handle_conn_refused() {
         std::min(reconnect_backoff_ * 2, cfg_.reconnect_backoff_max);
   }
   ++stats_.reconnects;
-  obs_add(m_.reconnects);
   arm_flush_in(reconnect_backoff_);
   if (on_peer_unreachable_) on_peer_unreachable_();
 }
@@ -354,7 +345,6 @@ int UdpEndpoint::rx_batch_once() {
     const int err = errno;
     if (err == EINTR) {
       ++stats_.eintr_retries;
-      obs_add(m_.eintr_retries);
       continue;
     }
     if (err == ECONNREFUSED) {
@@ -378,14 +368,12 @@ int UdpEndpoint::rx_batch_once() {
       // Datagram larger than our buffer: the tail is gone, and a
       // truncated envelope must never reach the decoder as if whole.
       ++stats_.rx_truncated_dropped;
-      obs_add(m_.rx_truncated_dropped);
       continue;
     }
     PacketBytes& b = bufs[static_cast<std::size_t>(i)].bytes();
     b.resize_uninitialized(len);  // shrink: keeps the bytes, fixes size
     ++stats_.datagrams_received;
     stats_.bytes_received += len;
-    obs_add(m_.datagrams_received);
     if (on_datagram_) {
       on_datagram_(std::move(bufs[static_cast<std::size_t>(i)]),
                    from_sockaddr(srcs[static_cast<std::size_t>(i)]));
@@ -420,7 +408,7 @@ std::uint64_t UdpEndpoint::shutdown(SimTime deadline) {
   // Whatever is still queued did NOT reach the wire. Count it.
   std::uint64_t abandoned = 0;
   while (!txq_.empty()) {
-    drop_tx_head(&stats_.tx_queue_dropped, m_.tx_queue_dropped);
+    drop_tx_head(stats_.tx_queue_dropped);
     ++abandoned;
   }
   if (fd_ >= 0) {

@@ -168,7 +168,7 @@ class UdpEndpoint {
   void handle_readable();
   /// One recvmmsg batch. Returns datagrams delivered, -1 on EAGAIN.
   int rx_batch_once();
-  void drop_tx_head(std::uint64_t* counter, Counter* metric);
+  void drop_tx_head(std::uint64_t& counter);
   void enter_backpressure();
   void leave_backpressure();
   void handle_conn_refused();
@@ -198,18 +198,8 @@ class UdpEndpoint {
   bool closed_{false};
 
   Stats stats_;
+  StatsBinding stats_binding_;  ///< after stats_: publishes its fields
   struct ObsHandles {
-    Counter* datagrams_sent{nullptr};
-    Counter* datagrams_received{nullptr};
-    Counter* eintr_retries{nullptr};
-    Counter* tx_eagain{nullptr};
-    Counter* tx_enobufs{nullptr};
-    Counter* tx_partial_batches{nullptr};
-    Counter* tx_oversize_dropped{nullptr};
-    Counter* tx_queue_dropped{nullptr};
-    Counter* rx_truncated_dropped{nullptr};
-    Counter* peer_unreachable{nullptr};
-    Counter* reconnects{nullptr};
     Gauge* tx_backpressure{nullptr};
     Gauge* tx_queued_bytes{nullptr};
   } m_;

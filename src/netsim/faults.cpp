@@ -48,19 +48,15 @@ FaultInjector::FaultInjector(Simulator& sim, FaultConfig cfg, PacketSink& sink,
       sink_(sink),
       rng_(rng),
       ge_(cfg.gilbert_elliott, rng) {
-  if (cfg_.obs != nullptr && cfg_.obs->metrics != nullptr) {
-    const std::string p = "faults" + std::to_string(cfg_.obs_site) + ".";
-    auto& reg = *cfg_.obs->metrics;
-    m_.offered = &reg.counter(p + "offered");
-    m_.delivered = &reg.counter(p + "delivered");
-    m_.dropped_loss =
-        &reg.counter(p + "dropped_loss");
-    m_.dropped_blackout =
-        &reg.counter(p + "dropped_blackout");
-    m_.payload_corrupted =
-        &reg.counter(p + "payload_corrupted");
-    m_.header_corrupted =
-        &reg.counter(p + "header_corrupted");
+  if (MetricsRegistry* reg = metrics_of(cfg_.obs)) {
+    stats_binding_.bind(reg, "faults" + std::to_string(cfg_.obs_site) + ".",
+                        stats_,
+                        {{"offered", &Stats::offered},
+                         {"delivered", &Stats::delivered},
+                         {"dropped_loss", &Stats::dropped_loss},
+                         {"dropped_blackout", &Stats::dropped_blackout},
+                         {"payload_corrupted", &Stats::payload_corrupted},
+                         {"header_corrupted", &Stats::header_corrupted}});
   }
 }
 
@@ -71,16 +67,13 @@ bool FaultInjector::in_blackout() const {
 
 void FaultInjector::on_packet(SimPacket pkt) {
   ++stats_.offered;
-  obs_add(m_.offered);
   if (in_blackout()) {
     ++stats_.dropped_blackout;
-    obs_add(m_.dropped_blackout);
     return;
   }
   if (ge_.lose()) {
     stats_.loss_bursts = ge_.bursts();
     ++stats_.dropped_loss;
-    obs_add(m_.dropped_loss);
     return;
   }
   stats_.loss_bursts = ge_.bursts();
@@ -91,7 +84,6 @@ void FaultInjector::on_packet(SimPacket pkt) {
     pkt.bytes[rng_.below(header_end)] ^= static_cast<std::uint8_t>(
         1u << rng_.below(8));
     ++stats_.header_corrupted;
-    obs_add(m_.header_corrupted);
   }
   if (cfg_.payload_flip_rate > 0 && pkt.bytes.size() > header_end &&
       rng_.chance(cfg_.payload_flip_rate)) {
@@ -99,10 +91,8 @@ void FaultInjector::on_packet(SimPacket pkt) {
         header_end + rng_.below(pkt.bytes.size() - header_end);
     pkt.bytes[at] ^= static_cast<std::uint8_t>(1u << rng_.below(8));
     ++stats_.payload_corrupted;
-    obs_add(m_.payload_corrupted);
   }
   ++stats_.delivered;
-  obs_add(m_.delivered);
   sink_.on_packet(std::move(pkt));
 }
 

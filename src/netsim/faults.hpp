@@ -122,22 +122,13 @@ class FaultInjector final : public PacketSink {
   bool in_blackout() const;
 
  private:
-  struct ObsHandles {
-    Counter* offered{nullptr};
-    Counter* delivered{nullptr};
-    Counter* dropped_loss{nullptr};
-    Counter* dropped_blackout{nullptr};
-    Counter* payload_corrupted{nullptr};
-    Counter* header_corrupted{nullptr};
-  };
-
   Simulator& sim_;
   FaultConfig cfg_;
   PacketSink& sink_;
   Rng& rng_;
   GilbertElliott ge_;
-  ObsHandles m_;
   mutable Stats stats_;
+  StatsBinding stats_binding_;  ///< after stats_: publishes its fields
 };
 
 // ------------------------------------------------- misbehaving relay

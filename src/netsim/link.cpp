@@ -14,16 +14,16 @@ Link::Link(Simulator& sim, LinkConfig cfg, PacketSink& sink, Rng& rng)
   if (cfg_.route_flap_interval > 0) {
     next_flap_ = cfg_.route_flap_interval;
   }
-  if (cfg_.obs != nullptr && cfg_.obs->metrics != nullptr) {
-    MetricsRegistry& reg = *cfg_.obs->metrics;
-    const std::string p = "link" + std::to_string(cfg_.obs_site) + ".";
-    m_.offered = &reg.counter(p + "offered");
-    m_.delivered = &reg.counter(p + "delivered");
-    m_.lost = &reg.counter(p + "lost");
-    m_.duplicated = &reg.counter(p + "duplicated");
-    m_.oversize_dropped = &reg.counter(p + "oversize_dropped");
-    m_.queue_dropped = &reg.counter(p + "queue_dropped");
-    m_.bytes_delivered = &reg.counter(p + "bytes_delivered");
+  if (MetricsRegistry* reg = metrics_of(cfg_.obs)) {
+    stats_binding_.bind(reg, "link" + std::to_string(cfg_.obs_site) + ".",
+                        stats_,
+                        {{"offered", &Stats::offered},
+                         {"delivered", &Stats::delivered},
+                         {"lost", &Stats::lost},
+                         {"duplicated", &Stats::duplicated},
+                         {"oversize_dropped", &Stats::oversize_dropped},
+                         {"queue_dropped", &Stats::queue_dropped},
+                         {"bytes_delivered", &Stats::bytes_delivered}});
   }
 }
 
@@ -52,10 +52,8 @@ void Link::maybe_flap() {
 
 void Link::send(SimPacket pkt) {
   ++stats_.offered;
-  obs_add(m_.offered);
   if (pkt.bytes.size() > cfg_.mtu) {
     ++stats_.oversize_dropped;
-    obs_add(m_.oversize_dropped);
     trace(TraceEventKind::kOversizeDropped, pkt, pkt.bytes.size());
     return;
   }
@@ -63,7 +61,6 @@ void Link::send(SimPacket pkt) {
     const std::size_t backlog = backlog_bytes();
     if (backlog > cfg_.queue_limit_bytes) {
       ++stats_.queue_dropped;
-      obs_add(m_.queue_dropped);
       trace(TraceEventKind::kQueueDropped, pkt, backlog);
       return;
     }
@@ -71,7 +68,6 @@ void Link::send(SimPacket pkt) {
   maybe_flap();
   if (rng_.chance(cfg_.loss_rate)) {
     ++stats_.lost;
-    obs_add(m_.lost);
     trace(TraceEventKind::kLinkDropped, pkt);
     return;
   }
@@ -91,7 +87,6 @@ void Link::send(SimPacket pkt) {
   deliver_copy(pkt, arrive);
   if (dup) {
     ++stats_.duplicated;
-    obs_add(m_.duplicated);
     trace(TraceEventKind::kLinkDuplicated, pkt);
     // The duplicate is a real transmission: it occupies a lane for its
     // full serialization time (duplicated traffic consumes capacity),
@@ -133,8 +128,6 @@ void Link::deliver_copy(const SimPacket& pkt, SimTime at) {
   sim_.schedule_at(at, [this, p = std::move(copy)]() mutable {
     ++stats_.delivered;
     stats_.bytes_delivered += p.bytes.size();
-    obs_add(m_.delivered);
-    obs_add(m_.bytes_delivered, p.bytes.size());
     trace(TraceEventKind::kLinkDelivered, p);
     sink_.on_packet(std::move(p));
   });

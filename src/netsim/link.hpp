@@ -81,15 +81,6 @@ class Link {
   void trace(TraceEventKind kind, const SimPacket& pkt,
              std::uint64_t aux = 0) const;
 
-  struct ObsHandles {
-    Counter* offered{nullptr};
-    Counter* delivered{nullptr};
-    Counter* lost{nullptr};
-    Counter* duplicated{nullptr};
-    Counter* oversize_dropped{nullptr};
-    Counter* queue_dropped{nullptr};
-    Counter* bytes_delivered{nullptr};
-  };
   /// Bytes still waiting to serialize across all lanes, derived from
   /// each lane's busy time (no per-packet queue state needed).
   std::size_t backlog_bytes() const;
@@ -98,12 +89,12 @@ class Link {
   LinkConfig cfg_;
   PacketSink& sink_;
   Rng& rng_;
-  ObsHandles m_;
   std::vector<SimTime> lane_free_at_;
   std::vector<SimTime> lane_extra_skew_;
   std::size_t next_lane_{0};
   SimTime next_flap_{0};
   Stats stats_;
+  StatsBinding stats_binding_;  ///< after stats_: publishes its fields
 };
 
 }  // namespace chunknet

@@ -21,7 +21,7 @@ MultipathScheduler::MultipathScheduler(Simulator& sim, MultipathConfig cfg,
     : sim_(sim), cfg_(cfg), downstream_(downstream) {
   assert(!paths.empty());
   paths_.reserve(paths.size());
-  MetricsRegistry* reg = cfg_.obs != nullptr ? cfg_.obs->metrics : nullptr;
+  MetricsRegistry* reg = metrics_of(cfg_.obs);
   for (std::size_t i = 0; i < paths.size(); ++i) {
     MultipathPathConfig& pc = paths[i];
     paths_.emplace_back();
@@ -39,19 +39,19 @@ MultipathScheduler::MultipathScheduler(Simulator& sim, MultipathConfig cfg,
     }
     if (reg != nullptr) {
       const std::string pre = "mpath.path" + std::to_string(i) + ".";
-      p.m.tx_packets = &reg->counter(pre + "tx_packets");
-      p.m.delivered = &reg->counter(pre + "delivered");
-      p.m.lost = &reg->counter(pre + "lost");
-      p.m.probes = &reg->counter(pre + "probes");
-      p.m.dead_drops = &reg->counter(pre + "dead_drops");
-      p.m.loss_ewma_ppm = &reg->gauge(pre + "loss_ewma_ppm");
-      p.m.rtt_ewma_ns = &reg->gauge(pre + "rtt_ewma_ns");
+      stats_binding_.bind(reg, pre, p.st,
+                          {{"tx_packets", &PathStats::tx_packets},
+                           {"delivered", &PathStats::delivered},
+                           {"lost", &PathStats::lost},
+                           {"probes", &PathStats::probes},
+                           {"dead_drops", &PathStats::dead_drops}});
+      p.loss_ewma_ppm = &reg->gauge(pre + "loss_ewma_ppm");
+      p.rtt_ewma_ns = &reg->gauge(pre + "rtt_ewma_ns");
     }
   }
-  if (reg != nullptr) {
-    m_failovers_ = &reg->counter("mpath.failovers");
-    m_failbacks_ = &reg->counter("mpath.failbacks");
-  }
+  stats_binding_.bind(reg, "mpath.", stats_,
+                      {{"failovers", &Stats::failovers},
+                       {"failbacks", &Stats::failbacks}});
 }
 
 void MultipathScheduler::trace(TraceEventKind kind, std::size_t path,
@@ -73,9 +73,8 @@ SimTime MultipathScheduler::effective_deadline(const Path& p) const {
 }
 
 void MultipathScheduler::publish_health(Path& p) {
-  obs_set(p.m.loss_ewma_ppm,
-          static_cast<std::int64_t>(p.st.loss_ewma * 1e6));
-  obs_set(p.m.rtt_ewma_ns, static_cast<std::int64_t>(p.st.delay_ewma_ns));
+  obs_set(p.loss_ewma_ppm, static_cast<std::int64_t>(p.st.loss_ewma * 1e6));
+  obs_set(p.rtt_ewma_ns, static_cast<std::int64_t>(p.st.delay_ewma_ns));
 }
 
 void MultipathScheduler::send(SimPacket pkt) {
@@ -85,7 +84,6 @@ void MultipathScheduler::send(SimPacket pkt) {
   ++p.st.tx_packets;
   p.st.tx_bytes += pkt.bytes.size();
   p.spray_bytes += pkt.bytes.size();
-  obs_add(p.m.tx_packets);
   trace(TraceEventKind::kPathSelected, i, pkt.id);
 
   inflight_[pkt.id] = Inflight{static_cast<std::uint32_t>(i), sim_.now()};
@@ -114,7 +112,6 @@ std::size_t MultipathScheduler::pick_path() {
         now - p.last_probe >= cfg_.probe_interval) {
       p.last_probe = now;
       ++p.st.probes;
-      obs_add(p.m.probes);
       last_send_ = now;
       return i;
     }
@@ -223,7 +220,6 @@ void MultipathScheduler::arrival(std::size_t path, SimPacket pkt) {
     // Dead path: the packet dies here. If it was still tracked this is
     // its loss evidence; a copy already written off just vanishes.
     ++p.st.dead_drops;
-    obs_add(p.m.dead_drops);
     trace(TraceEventKind::kPathDeadDrop, path, pkt.id);
     if (it != inflight_.end()) {
       inflight_.erase(it);
@@ -258,7 +254,6 @@ void MultipathScheduler::evidence_deadline(std::uint64_t packet_id) {
 void MultipathScheduler::loss_evidence(std::size_t i) {
   Path& p = paths_[i];
   ++p.st.lost;
-  obs_add(p.m.lost);
   p.st.loss_ewma =
       (1.0 - cfg_.ewma_alpha) * p.st.loss_ewma + cfg_.ewma_alpha;
   ++p.consec_losses;
@@ -274,7 +269,6 @@ void MultipathScheduler::delivery_evidence(std::size_t i,
                                            SimTime one_way_ns) {
   Path& p = paths_[i];
   ++p.st.delivered;
-  obs_add(p.m.delivered);
   p.st.loss_ewma *= 1.0 - cfg_.ewma_alpha;
   const auto sample = static_cast<double>(one_way_ns);
   p.st.delay_ewma_ns =
@@ -297,7 +291,6 @@ void MultipathScheduler::mark_down(std::size_t i) {
   p.last_probe = sim_.now();  // first probe a full interval from now
   ++p.st.failovers;
   ++stats_.failovers;
-  obs_add(m_failovers_);
   trace(TraceEventKind::kPathFailover, i, 0);
   if (cfg_.obs != nullptr && cfg_.obs->spans != nullptr) {
     SpanEvent e;
@@ -320,7 +313,6 @@ void MultipathScheduler::mark_up(std::size_t i) {
   }
   ++p.st.failbacks;
   ++stats_.failbacks;
-  obs_add(m_failbacks_);
   trace(TraceEventKind::kPathFailback, i, 0);
   if (cfg_.obs != nullptr && cfg_.obs->spans != nullptr) {
     SpanEvent e;

@@ -168,15 +168,6 @@ class MultipathScheduler final : public PacketSink {
       owner->arrival(index, std::move(pkt));
     }
   };
-  struct PathObs {
-    Counter* tx_packets{nullptr};
-    Counter* delivered{nullptr};
-    Counter* lost{nullptr};
-    Counter* probes{nullptr};
-    Counter* dead_drops{nullptr};
-    Gauge* loss_ewma_ppm{nullptr};
-    Gauge* rtt_ewma_ns{nullptr};
-  };
   struct Path {
     double weight{1.0};
     std::unique_ptr<Egress> egress;
@@ -194,7 +185,8 @@ class MultipathScheduler final : public PacketSink {
     /// tail) still split bytes evenly. Re-based on failback so a
     /// returning path is not handed the whole backlog it missed.
     std::uint64_t spray_bytes{0};
-    PathObs m;
+    Gauge* loss_ewma_ppm{nullptr};
+    Gauge* rtt_ewma_ns{nullptr};
   };
   struct Inflight {
     std::uint32_t path{0};
@@ -222,9 +214,9 @@ class MultipathScheduler final : public PacketSink {
   std::size_t flowlet_path_{0};
   SimTime last_send_{0};
   bool sent_any_{false};
-  Counter* m_failovers_{nullptr};
-  Counter* m_failbacks_{nullptr};
   Stats stats_;
+  /// After paths_ and stats_: publishes their fields.
+  StatsBinding stats_binding_;
 };
 
 }  // namespace chunknet

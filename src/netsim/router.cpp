@@ -59,17 +59,18 @@ Router::Router(Simulator& sim, RelayFn relay, Link& egress, ObsContext* obs,
                std::uint16_t obs_site)
     : sim_(sim), relay_(std::move(relay)), egress_(egress), obs_(obs),
       obs_site_(obs_site) {
-  if (obs_ != nullptr && obs_->metrics != nullptr) {
-    const std::string p = "router" + std::to_string(obs_site_) + ".";
-    m_forwarded_ = &obs_->metrics->counter(p + "forwarded");
-    m_dropped_ = &obs_->metrics->counter(p + "dropped");
+  if (MetricsRegistry* reg = metrics_of(obs_)) {
+    stats_binding_.bind(reg, "router" + std::to_string(obs_site_) + ".",
+                        stats_,
+                        {{"forwarded", &Stats::forwarded},
+                         {"dropped", &Stats::dropped}});
   }
 }
 
 void Router::on_packet(SimPacket pkt) {
   auto outputs = relay_(std::move(pkt.bytes), egress_.config().mtu);
   if (outputs.empty()) {
-    obs_add(m_dropped_);
+    ++stats_.dropped;
     router_trace(obs_, sim_, obs_site_, TraceEventKind::kRouterDropped,
                  pkt.id, 0);
     return;
@@ -80,11 +81,10 @@ void Router::on_packet(SimPacket pkt) {
     out.id = sim_.next_packet_id();
     out.created_at = pkt.created_at;  // preserve end-to-end timestamp
     out.hops = pkt.hops;
-    obs_add(m_forwarded_);
+    ++stats_.forwarded;
     router_trace(obs_, sim_, obs_site_, TraceEventKind::kRouterRelayed,
                  out.id, pkt.id);
     egress_.send(std::move(out));
-    ++forwarded_;
   }
 }
 
@@ -94,10 +94,11 @@ BatchingChunkRouter::BatchingChunkRouter(Simulator& sim, RepackPolicy policy,
                                          std::uint16_t obs_site)
     : sim_(sim), policy_(policy), egress_(egress), window_(window),
       stats_(stats), obs_(obs), obs_site_(obs_site) {
-  if (obs_ != nullptr && obs_->metrics != nullptr) {
-    const std::string p = "router" + std::to_string(obs_site_) + ".";
-    m_forwarded_ = &obs_->metrics->counter(p + "forwarded");
-    m_dropped_ = &obs_->metrics->counter(p + "dropped");
+  if (MetricsRegistry* reg = metrics_of(obs_)) {
+    counts_binding_.bind(reg, "router" + std::to_string(obs_site_) + ".",
+                         counts_,
+                         {{"forwarded", &Router::Stats::forwarded},
+                          {"dropped", &Router::Stats::dropped}});
   }
 }
 
@@ -106,7 +107,7 @@ void BatchingChunkRouter::on_packet(SimPacket pkt) {
   ParsedPacket parsed = decode_packet(pkt.bytes);
   if (!parsed.ok) {
     if (stats_ != nullptr) ++stats_->parse_failures;
-    obs_add(m_dropped_);
+    ++counts_.dropped;
     router_trace(obs_, sim_, obs_site_, TraceEventKind::kRouterDropped,
                  pkt.id, 0);
     return;
@@ -137,7 +138,7 @@ void BatchingChunkRouter::flush() {
     out.bytes = std::move(body);
     out.id = sim_.next_packet_id();
     out.created_at = oldest_created_at_;
-    obs_add(m_forwarded_);
+    ++counts_.forwarded;
     // Batched departures have no single ingress packet: aux = 0.
     router_trace(obs_, sim_, obs_site_, TraceEventKind::kRouterRelayed,
                  out.id, 0);

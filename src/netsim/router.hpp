@@ -53,7 +53,12 @@ class Router final : public PacketSink {
 
   void on_packet(SimPacket pkt) override;
 
-  std::uint64_t forwarded() const { return forwarded_; }
+  /// Published as router<site>.forwarded / router<site>.dropped.
+  struct Stats {
+    std::uint64_t forwarded{0};  ///< packets sent on the egress link
+    std::uint64_t dropped{0};    ///< arrivals the relay discarded
+  };
+  const Stats& stats() const { return stats_; }
 
  private:
   Simulator& sim_;
@@ -61,9 +66,8 @@ class Router final : public PacketSink {
   Link& egress_;
   ObsContext* obs_;
   std::uint16_t obs_site_;
-  Counter* m_forwarded_{nullptr};
-  Counter* m_dropped_{nullptr};
-  std::uint64_t forwarded_{0};
+  Stats stats_;
+  StatsBinding stats_binding_;  ///< after stats_: publishes its fields
 };
 
 /// A chunk-aware router that BATCHES: chunks from packets arriving
@@ -90,8 +94,8 @@ class BatchingChunkRouter final : public PacketSink {
   RelayStats* stats_;
   ObsContext* obs_;
   std::uint16_t obs_site_;
-  Counter* m_forwarded_{nullptr};
-  Counter* m_dropped_{nullptr};
+  Router::Stats counts_;
+  StatsBinding counts_binding_;  ///< after counts_: publishes its fields
   std::vector<Chunk> pending_;
   SimTime oldest_created_at_{0};
   bool timer_armed_{false};

@@ -18,4 +18,9 @@ struct ObsContext {
   SpanRecorder* spans{nullptr};
 };
 
+/// The registry behind a nullable context (null when metrics are off).
+inline MetricsRegistry* metrics_of(const ObsContext* obs) {
+  return obs != nullptr ? obs->metrics : nullptr;
+}
+
 }  // namespace chunknet

@@ -92,12 +92,10 @@ class TimeSeriesSampler {
 /// an idle simulation forever. The sampler must outlive the run.
 template <typename Sim>
 void attach_sampler(Sim& sim, TimeSeriesSampler& sampler) {
-  auto tick = std::make_shared<std::function<void()>>();
-  *tick = [&sim, &sampler, tick] {
+  sim.schedule_in(sampler.interval(), [&sim, &sampler] {
     sampler.sample(sim.now());
-    if (sim.pending()) sim.schedule_in(sampler.interval(), *tick);
-  };
-  sim.schedule_in(sampler.interval(), *tick);
+    if (sim.pending()) attach_sampler(sim, sampler);
+  });
 }
 
 }  // namespace chunknet

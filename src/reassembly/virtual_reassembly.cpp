@@ -59,14 +59,11 @@ bool PduTracker::complete() const {
 void VirtualReassembler::set_obs(ObsContext* obs, std::uint16_t site) {
   obs_ = obs;
   obs_site_ = site;
-  m_ = ObsHandles{};
-  if (obs_ != nullptr && obs_->metrics != nullptr) {
-    MetricsRegistry& reg = *obs_->metrics;
-    m_.pieces_accepted = &reg.counter("vreass.pieces_accepted");
-    m_.duplicates_rejected = &reg.counter("vreass.duplicates_rejected");
-    m_.overlaps_rejected = &reg.counter("vreass.overlaps_rejected");
-    m_.framing_errors = &reg.counter("vreass.framing_errors");
-  }
+  stats_binding_.bind(metrics_of(obs_), "vreass.", stats_,
+                      {{"pieces_accepted", &Stats::pieces_accepted},
+                       {"duplicates_rejected", &Stats::duplicates_rejected},
+                       {"overlaps_rejected", &Stats::overlaps_rejected},
+                       {"framing_errors", &Stats::framing_errors}});
 }
 
 PieceVerdict VirtualReassembler::add(const PduKey& key, std::uint32_t sn,
@@ -77,24 +74,20 @@ PieceVerdict VirtualReassembler::add(const PduKey& key, std::uint32_t sn,
   switch (v) {
     case PieceVerdict::kAccept:
       ++stats_.pieces_accepted;
-      obs_add(m_.pieces_accepted);
       break;
     case PieceVerdict::kDuplicate:
       ++stats_.duplicates_rejected;
-      obs_add(m_.duplicates_rejected);
       kind = TraceEventKind::kDuplicateRejected;
       traced = true;
       break;
     case PieceVerdict::kOverlap:
       ++stats_.overlaps_rejected;
-      obs_add(m_.overlaps_rejected);
       kind = TraceEventKind::kOverlapRejected;
       traced = true;
       break;
     case PieceVerdict::kAfterStop:
     case PieceVerdict::kStopConflict:
       ++stats_.framing_errors;
-      obs_add(m_.framing_errors);
       kind = TraceEventKind::kFramingRejected;
       traced = true;
       break;

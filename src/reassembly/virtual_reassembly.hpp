@@ -116,21 +116,15 @@ class VirtualReassembler {
 
   /// Observability (optional). Counters under "vreass."; rejections
   /// also emit trace events (t = 0: the reassembler has no clock).
+  /// Call once.
   void set_obs(ObsContext* obs, std::uint16_t site = 0);
 
  private:
-  struct ObsHandles {
-    Counter* pieces_accepted{nullptr};
-    Counter* duplicates_rejected{nullptr};
-    Counter* overlaps_rejected{nullptr};
-    Counter* framing_errors{nullptr};
-  };
-
   std::map<PduKey, PduTracker> trackers_;
   Stats stats_;
   ObsContext* obs_{nullptr};
   std::uint16_t obs_site_{0};
-  ObsHandles m_;
+  StatsBinding stats_binding_;  ///< after stats_: publishes its fields
 };
 
 }  // namespace chunknet

@@ -59,14 +59,13 @@ SimTime ChunkDemultiplexer::now() const {
 void ChunkDemultiplexer::set_obs(ObsContext* obs, Simulator* sim) {
   obs_ = obs;
   sim_ = sim;
-  if (obs_ != nullptr && obs_->metrics != nullptr) {
-    MetricsRegistry& m = *obs_->metrics;
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      const std::string base = "demux.shard" + std::to_string(i) + ".";
-      shards_[i].c_data_routed = &m.counter(base + "data_chunks");
-      shards_[i].c_admitted = &m.counter(base + "admitted");
-      shards_[i].c_refused = &m.counter(base + "refused");
-    }
+  MetricsRegistry* reg = metrics_of(obs_);
+  for (std::size_t i = 0; reg != nullptr && i < shards_.size(); ++i) {
+    stats_binding_.bind(reg, "demux.shard" + std::to_string(i) + ".",
+                        shards_[i].stats,
+                        {{"data_chunks", &Stats::data_chunks_routed},
+                         {"admitted", &Stats::connections_admitted},
+                         {"refused", &Stats::connections_refused}});
   }
 }
 
@@ -82,21 +81,21 @@ void ChunkDemultiplexer::span(SpanEventKind kind,
   obs_->spans->record(e);
 }
 
-const ChunkDemultiplexer::Stats& ChunkDemultiplexer::stats() const {
-  agg_ = Stats{};
-  agg_.packets = packets_;
-  agg_.malformed = malformed_;
-  agg_.control_chunks_routed = control_chunks_routed_;
+ChunkDemultiplexer::Stats ChunkDemultiplexer::stats() const {
+  Stats agg;
+  agg.packets = packets_;
+  agg.malformed = malformed_;
+  agg.control_chunks_routed = control_chunks_routed_;
   for (const Shard& sh : shards_) {
-    agg_.data_chunks_routed += sh.stats.data_chunks_routed;
-    agg_.unknown_connection += sh.stats.unknown_connection;
-    agg_.connections_admitted += sh.stats.connections_admitted;
-    agg_.connections_refused += sh.stats.connections_refused;
-    agg_.refused_expired += sh.stats.refused_expired;
-    agg_.idle_evicted += sh.stats.idle_evicted;
-    agg_.lease_acquires += sh.stats.lease_acquires;
+    agg.data_chunks_routed += sh.stats.data_chunks_routed;
+    agg.unknown_connection += sh.stats.unknown_connection;
+    agg.connections_admitted += sh.stats.connections_admitted;
+    agg.connections_refused += sh.stats.connections_refused;
+    agg.refused_expired += sh.stats.refused_expired;
+    agg.idle_evicted += sh.stats.idle_evicted;
+    agg.lease_acquires += sh.stats.lease_acquires;
   }
-  return agg_;
+  return agg;
 }
 
 std::size_t ChunkDemultiplexer::flows() const {
@@ -267,13 +266,11 @@ bool ChunkDemultiplexer::admit(Shard& sh, std::uint32_t connection_id) {
   }
   if (!admitted) {
     ++sh.stats.connections_refused;
-    obs_add(sh.c_refused);
     span(SpanEventKind::kConnRefused, connection_id,
          admission_.reserve_bytes);
     return false;
   }
   ++sh.stats.connections_admitted;
-  obs_add(sh.c_admitted);
   span(SpanEventKind::kConnAdmitted, connection_id,
        admission_.reserve_bytes);
   return true;
@@ -381,7 +378,6 @@ void ChunkDemultiplexer::on_packet(SimPacket pkt) {
           break;
         }
         ++sh.stats.data_chunks_routed;
-        obs_add(sh.c_data_routed);
         ChunkTransportReceiver* rx = f->rx;
         if (track_idle) {
           // LRU touch is two link splices; done BEFORE the receiver

@@ -115,7 +115,7 @@ class ChunkDemultiplexer final : public PacketSink {
 
   /// Observability (optional): connection-admission span events are
   /// recorded against `sim`'s clock, and per-shard routing counters
-  /// are published to the metrics registry.
+  /// are published to the metrics registry. Call once.
   void set_obs(ObsContext* obs, Simulator* sim);
 
   /// Programmatic admission (benches / topology builders): reserves
@@ -138,7 +138,7 @@ class ChunkDemultiplexer final : public PacketSink {
     std::uint64_t lease_acquires{0};   ///< governor round-trips for admission
   };
   /// Aggregated over shards (packet-level fields are demux-global).
-  const Stats& stats() const;
+  Stats stats() const;
 
   std::uint32_t shard_count() const {
     return static_cast<std::uint32_t>(shards_.size());
@@ -180,9 +180,6 @@ class ChunkDemultiplexer final : public PacketSink {
     std::uint32_t lease_slots{0};   ///< admissions left in current lease
     std::uint64_t lease_bytes{0};   ///< reserve currently held via lease
     Stats stats;
-    Counter* c_data_routed{nullptr};
-    Counter* c_admitted{nullptr};
-    Counter* c_refused{nullptr};
   };
 
   void handle_connection_open(const ChunkView& v);
@@ -221,7 +218,7 @@ class ChunkDemultiplexer final : public PacketSink {
   std::uint64_t packets_{0};
   std::uint64_t malformed_{0};
   std::uint64_t control_chunks_routed_{0};
-  mutable Stats agg_;  ///< stats() aggregation scratch
+  StatsBinding stats_binding_;  ///< after shards_: publishes shard stats
 };
 
 }  // namespace chunknet

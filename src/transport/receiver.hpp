@@ -322,31 +322,9 @@ class ChunkTransportReceiver final : public PacketSink {
             std::uint64_t aux = 0) const;
 
   struct ObsHandles {
-    Counter* packets{nullptr};
-    Counter* malformed_packets{nullptr};
-    Counter* data_chunks{nullptr};
-    Counter* ed_chunks{nullptr};
-    Counter* foreign_chunks{nullptr};
-    Counter* duplicate_chunks{nullptr};
-    Counter* overlap_chunks{nullptr};
-    Counter* framing_error_chunks{nullptr};
-    Counter* tpdus_accepted{nullptr};
-    Counter* tpdus_rejected{nullptr};
-    Counter* acks_resent{nullptr};
-    Counter* chunks_placed{nullptr};
-    Counter* oob_chunks{nullptr};
-    Counter* dropped_unplaced_chunks{nullptr};
-    Counter* dropped_unplaced_bytes{nullptr};
-    Counter* bus_bytes{nullptr};
-    Counter* bytes_placed{nullptr};
-    Counter* tpdus_evicted{nullptr};
-    Counter* held_chunks_evicted{nullptr};
-    Counter* held_bytes_evicted{nullptr};
     Gauge* held_bytes{nullptr};
     Gauge* held_bytes_peak{nullptr};
     Histogram* delivery_latency{nullptr};
-    Counter* governor_refusals{nullptr};
-    Counter* grants_sent{nullptr};
   };
 
   Simulator& sim_;
@@ -384,6 +362,7 @@ class ChunkTransportReceiver final : public PacketSink {
     return static_cast<std::uint32_t>(conn_sn - cfg_.first_conn_sn);
   }
   Stats stats_;
+  StatsBinding stats_binding_;  ///< after stats_: publishes its fields
   /// Flow control: cumulative finished-TPDU payload bytes (the base of
   /// every advertised credit limit) and the grant ordering sequence.
   std::uint64_t credited_bytes_{0};

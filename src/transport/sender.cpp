@@ -14,30 +14,31 @@ ChunkTransportSender::ChunkTransportSender(Simulator& sim, SenderConfig cfg)
       cfg_(std::move(cfg)),
       rto_(cfg_.rto, cfg_.retransmit_timeout) {
   if (cfg_.obs != nullptr) spans_ = cfg_.obs->spans;
-  if (cfg_.obs != nullptr && cfg_.obs->metrics != nullptr) {
-    MetricsRegistry& reg = *cfg_.obs->metrics;
-    m_.tpdus_sent = &reg.counter("sender.tpdus_sent");
-    m_.tpdus_acked = &reg.counter("sender.tpdus_acked");
-    m_.retransmissions = &reg.counter("sender.retransmissions");
-    m_.naks = &reg.counter("sender.naks");
-    m_.gave_up = &reg.counter("sender.gave_up");
-    m_.packets_sent = &reg.counter("sender.packets_sent");
-    m_.bytes_sent = &reg.counter("sender.bytes_sent");
-    m_.gap_naks_honoured = &reg.counter("sender.gap_naks_honoured");
-    m_.retx_payload_bytes = &reg.counter("sender.retx_payload_bytes");
-    m_.tx_bytes_copied = &reg.counter("sender.tx_bytes_copied");
-    m_.tx_gather_bytes = &reg.counter("sender.tx_gather_bytes");
-    m_.rto_samples = &reg.counter("sender.rto_samples");
-    m_.rto_discarded = &reg.counter("sender.rto_discarded");
-    m_.rto_backoffs = &reg.counter("sender.rto_backoffs");
-    if (cfg_.flow.enabled) {
-      m_.credit_grants = &reg.counter("flow.credit_grants");
-      m_.flow_blocked = &reg.counter("flow.blocked");
-      m_.zero_credit_probes = &reg.counter("flow.zero_credit_probes");
-      m_.flow_backoffs = &reg.counter("flow.backoffs");
-      m_.credit_window = &reg.gauge("flow.credit_window_bytes");
-      m_.inflight_tpdus = &reg.gauge("flow.inflight_tpdus");
-    }
+  MetricsRegistry* reg = metrics_of(cfg_.obs);
+  stats_binding_.bind(
+      reg, "sender.", stats_,
+      {{"tpdus_sent", &Stats::tpdus_sent},
+       {"tpdus_acked", &Stats::tpdus_acked},
+       {"retransmissions", &Stats::retransmissions},
+       {"naks", &Stats::naks},
+       {"gave_up", &Stats::gave_up},
+       {"packets_sent", &Stats::packets_sent},
+       {"bytes_sent", &Stats::bytes_sent},
+       {"gap_naks_honoured", &Stats::gap_naks_honoured},
+       {"retx_payload_bytes", &Stats::retx_payload_bytes},
+       {"tx_bytes_copied", &Stats::tx_bytes_copied},
+       {"tx_gather_bytes", &Stats::tx_gather_bytes},
+       {"rto_samples", &Stats::rto_samples},
+       {"rto_discarded", &Stats::rto_discarded},
+       {"rto_backoffs", &Stats::rto_backoffs}});
+  if (cfg_.flow.enabled && reg != nullptr) {
+    stats_binding_.bind(reg, "flow.", stats_,
+                        {{"credit_grants", &Stats::credit_grants},
+                         {"blocked", &Stats::flow_blocked},
+                         {"zero_credit_probes", &Stats::zero_credit_probes},
+                         {"backoffs", &Stats::flow_backoffs}});
+    credit_window_ = &reg->gauge("flow.credit_window_bytes");
+    inflight_tpdus_ = &reg->gauge("flow.inflight_tpdus");
   }
   if (cfg_.flow.enabled) {
     credit_limit_ = cfg_.flow.initial_credit_bytes;
@@ -47,11 +48,11 @@ ChunkTransportSender::ChunkTransportSender(Simulator& sim, SenderConfig cfg)
 }
 
 void ChunkTransportSender::publish_flow_gauges() {
-  obs_set(m_.credit_window,
+  obs_set(credit_window_,
           static_cast<std::int64_t>(
               credit_limit_ > credit_consumed_ ? credit_limit_ - credit_consumed_
                                                : 0));
-  obs_set(m_.inflight_tpdus, static_cast<std::int64_t>(inflight_));
+  obs_set(inflight_tpdus_, static_cast<std::int64_t>(inflight_));
 }
 
 void ChunkTransportSender::trace_chunk(TraceEventKind kind,
@@ -110,7 +111,6 @@ void ChunkTransportSender::send_stream(std::span<const std::uint8_t> stream) {
     pending.chunks = std::move(tpdu_chunks);
     auto [it, inserted] = outstanding_.emplace(tpdu_id, std::move(pending));
     ++stats_.tpdus_sent;
-    obs_add(m_.tpdus_sent);
     span(SpanEventKind::kTpduFramed, tpdu_id, it->second.payload_bytes);
     if (cfg_.flow.enabled) {
       send_queue_.push_back(tpdu_id);
@@ -148,7 +148,6 @@ void ChunkTransportSender::pump_queue() {
   const bool now_blocked = !send_queue_.empty();
   if (now_blocked && !blocked_) {
     ++stats_.flow_blocked;
-    obs_add(m_.flow_blocked);
   }
   blocked_ = now_blocked;
   if (now_blocked) arm_probe();
@@ -182,7 +181,6 @@ void ChunkTransportSender::arm_probe() {
     // its ACK or the grant it provokes re-opens the window.
     slots_ = std::max<std::uint16_t>(slots_ / 2, 1);
     ++stats_.zero_credit_probes;
-    obs_add(m_.zero_credit_probes);
     auto it = outstanding_.find(send_queue_.front());
     send_queue_.pop_front();
     if (it != outstanding_.end()) admit_tpdu(it->first, it->second);
@@ -207,7 +205,6 @@ void ChunkTransportSender::handle_credit_grant(const Chunk& signal) {
   any_grant_ = true;
   grant_seq_seen_ = grant->grant_seq;
   ++stats_.credit_grants;
-  obs_add(m_.credit_grants);
   span(SpanEventKind::kCreditGrant, 0, grant->credit_limit_bytes);
 
   const std::uint64_t old_window =
@@ -225,7 +222,6 @@ void ChunkTransportSender::handle_credit_grant(const Chunk& signal) {
                                                   slots_ / 2)),
                                      1);
     ++stats_.flow_backoffs;
-    obs_add(m_.flow_backoffs);
   } else {
     slots_ = offered_slots;
   }
@@ -242,7 +238,6 @@ void ChunkTransportSender::transmit_tpdu(std::uint32_t tpdu_id,
     for (const Chunk& c : p.chunks) {
       if (c.h.type == ChunkType::kData) {
         stats_.retx_payload_bytes += c.payload.size();
-        obs_add(m_.retx_payload_bytes, c.payload.size());
       }
     }
   }
@@ -264,7 +259,6 @@ std::size_t ChunkTransportSender::abandon_outstanding() {
   while (!outstanding_.empty()) {
     auto it = outstanding_.begin();
     ++stats_.gave_up;
-    obs_add(m_.gave_up);
     span(SpanEventKind::kTpduGaveUp, it->first);
     gave_up_ids_.push_back(it->first);
     on_tpdu_retired(it->second);
@@ -288,7 +282,6 @@ void ChunkTransportSender::arm_timer(std::uint32_t tpdu_id) {
     if (it->second.last_sent > armed_at) return;   // newer timer pending
     if (it->second.attempts > cfg_.max_retransmits) {
       ++stats_.gave_up;
-      obs_add(m_.gave_up);
       span(SpanEventKind::kTpduGaveUp, tpdu_id);
       gave_up_ids_.push_back(tpdu_id);
       on_tpdu_retired(it->second);
@@ -298,9 +291,7 @@ void ChunkTransportSender::arm_timer(std::uint32_t tpdu_id) {
     }
     rto_.on_timeout();
     ++stats_.rto_backoffs;
-    obs_add(m_.rto_backoffs);
     ++stats_.retransmissions;
-    obs_add(m_.retransmissions);
     transmit_tpdu(tpdu_id, it->second);
   });
 }
@@ -340,9 +331,6 @@ void ChunkTransportSender::send_chunk_views(std::span<const ChunkView> views) {
     stats_.bytes_sent += gp.wire_size;
     ++stats_.packets_sent;
     stats_.tx_gather_bytes += gp.borrowed_payload_bytes;
-    obs_add(m_.packets_sent);
-    obs_add(m_.bytes_sent, gp.wire_size);
-    obs_add(m_.tx_gather_bytes, gp.borrowed_payload_bytes);
     if (cfg_.obs != nullptr && cfg_.obs->tracer != nullptr) {
       TraceEvent e;
       e.t = sim_.now();
@@ -365,7 +353,6 @@ void ChunkTransportSender::send_chunks(std::vector<Chunk> chunks) {
   // Materializing assembly copies every (deliverable) payload byte
   // into the flat packet buffers.
   stats_.tx_bytes_copied += packed.payload_bytes;
-  obs_add(m_.tx_bytes_copied, packed.payload_bytes);
   for (auto& pkt : packed.packets) {
     if (cfg_.compress_wire) {
       // Re-encode the packet in the compact negotiated syntax; the
@@ -378,8 +365,6 @@ void ChunkTransportSender::send_chunks(std::vector<Chunk> chunks) {
     }
     stats_.bytes_sent += pkt.size();
     ++stats_.packets_sent;
-    obs_add(m_.packets_sent);
-    obs_add(m_.bytes_sent, pkt.size());
     if (cfg_.obs != nullptr && cfg_.obs->tracer != nullptr) {
       TraceEvent e;
       e.t = sim_.now();
@@ -406,7 +391,6 @@ void ChunkTransportSender::handle_gap_nak(const Chunk& signal) {
   // exactly like the whole-TPDU retransmission path.
   if (it->second.attempts > cfg_.max_retransmits) {
     ++stats_.gave_up;
-    obs_add(m_.gave_up);
     span(SpanEventKind::kTpduGaveUp, nak->tpdu_id);
     gave_up_ids_.push_back(nak->tpdu_id);
     on_tpdu_retired(it->second);
@@ -416,7 +400,6 @@ void ChunkTransportSender::handle_gap_nak(const Chunk& signal) {
   }
   ++it->second.attempts;
   ++stats_.gap_naks_honoured;
-  obs_add(m_.gap_naks_honoured);
 
   // Slices are views over the pending chunks: the cut is header math
   // plus a payload subspan, so building the resend list copies nothing.
@@ -435,7 +418,6 @@ void ChunkTransportSender::handle_gap_nak(const Chunk& signal) {
                                       g.length)) {
         stats_.selective_retx_elements += piece->h.len;
         stats_.retx_payload_bytes += piece->payload.size();
-        obs_add(m_.retx_payload_bytes, piece->payload.size());
         trace_chunk(TraceEventKind::kChunkBuilt, piece->h, 1);
         resend.push_back(*piece);
         taken = true;
@@ -445,7 +427,6 @@ void ChunkTransportSender::handle_gap_nak(const Chunk& signal) {
       if (auto piece = slice_view(v, nak->tail_from, ~std::uint64_t{0})) {
         stats_.selective_retx_elements += piece->h.len;
         stats_.retx_payload_bytes += piece->payload.size();
-        obs_add(m_.retx_payload_bytes, piece->payload.size());
         trace_chunk(TraceEventKind::kChunkBuilt, piece->h, 1);
         resend.push_back(*piece);
       }
@@ -488,13 +469,10 @@ void ChunkTransportSender::on_packet(SimPacket pkt) {
       // the estimator discarded that sample.
       if (it->second.retransmitted) {
         ++stats_.rto_discarded;
-        obs_add(m_.rto_discarded);
       } else {
         ++stats_.rto_samples;
-        obs_add(m_.rto_samples);
       }
       ++stats_.tpdus_acked;
-      obs_add(m_.tpdus_acked);
       span(SpanEventKind::kTpduAcked, ack.tpdu_id);
       on_tpdu_retired(it->second);
       outstanding_.erase(it);
@@ -502,10 +480,8 @@ void ChunkTransportSender::on_packet(SimPacket pkt) {
     } else {
       // NAK: retransmit immediately with the same identifiers.
       ++stats_.naks;
-      obs_add(m_.naks);
       if (it->second.attempts > cfg_.max_retransmits) {
         ++stats_.gave_up;
-        obs_add(m_.gave_up);
         span(SpanEventKind::kTpduGaveUp, ack.tpdu_id);
         gave_up_ids_.push_back(ack.tpdu_id);
         on_tpdu_retired(it->second);
@@ -514,7 +490,6 @@ void ChunkTransportSender::on_packet(SimPacket pkt) {
         continue;
       }
       ++stats_.retransmissions;
-      obs_add(m_.retransmissions);
       transmit_tpdu(ack.tpdu_id, it->second);
     }
   }

@@ -217,38 +217,17 @@ class ChunkTransportSender final : public PacketSink {
   void span(SpanEventKind kind, std::uint32_t tpdu_id,
             std::uint64_t aux = 0) const;
 
-  struct ObsHandles {
-    Counter* tpdus_sent{nullptr};
-    Counter* tpdus_acked{nullptr};
-    Counter* retransmissions{nullptr};
-    Counter* naks{nullptr};
-    Counter* gave_up{nullptr};
-    Counter* packets_sent{nullptr};
-    Counter* bytes_sent{nullptr};
-    Counter* gap_naks_honoured{nullptr};
-    Counter* retx_payload_bytes{nullptr};
-    Counter* tx_bytes_copied{nullptr};
-    Counter* tx_gather_bytes{nullptr};
-    Counter* rto_samples{nullptr};
-    Counter* rto_discarded{nullptr};
-    Counter* rto_backoffs{nullptr};
-    Counter* credit_grants{nullptr};
-    Counter* flow_blocked{nullptr};
-    Counter* zero_credit_probes{nullptr};
-    Counter* flow_backoffs{nullptr};
-    Gauge* credit_window{nullptr};
-    Gauge* inflight_tpdus{nullptr};
-  };
-
   Simulator& sim_;
   SenderConfig cfg_;
   RtoEstimator rto_;
-  ObsHandles m_;
+  Gauge* credit_window_{nullptr};
+  Gauge* inflight_tpdus_{nullptr};
   SpanRecorder* spans_{nullptr};  ///< resolved once; hot path
   std::map<std::uint32_t, PendingTpdu> outstanding_;
   std::vector<std::uint32_t> gave_up_ids_;
   bool started_{false};
   Stats stats_;
+  StatsBinding stats_binding_;  ///< after stats_: publishes its fields
 
   // Flow-control state (only mutated when cfg_.flow.enabled).
   std::deque<std::uint32_t> send_queue_;

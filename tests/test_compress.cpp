@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "src/chunk/builder.hpp"
 #include "src/chunk/codec.hpp"
 #include "src/common/rng.hpp"
@@ -34,6 +36,10 @@ struct ProfileCase {
   const char* name;
   CompressionProfile profile;
 };
+
+// gtest would otherwise print the raw bytes, pointer included, into the
+// test name; print the case name so the name is the same in every build.
+void PrintTo(const ProfileCase& c, std::ostream* os) { *os << c.name; }
 
 class CompressRoundTrip : public ::testing::TestWithParam<ProfileCase> {};
 

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <ostream>
 #include <vector>
 
 #include "src/chunk/builder.hpp"
@@ -119,6 +120,10 @@ struct CorruptionCase {
   bool detected_by_code;         // EDC mismatch expected
   bool detected_by_consistency;  // SN consistency check expected
 };
+
+// gtest would otherwise print the raw bytes, pointers included, into the
+// test name; print the field so the name is the same in every build.
+void PrintTo(const CorruptionCase& c, std::ostream* os) { *os << c.field; }
 
 void corrupt_cid(Chunk& c) { c.h.conn.id ^= 0x1000; }
 void corrupt_tid(Chunk& c) { c.h.tpdu.id ^= 0x1000; }

@@ -75,13 +75,13 @@ RunResult run_ip(double loss, int lanes, SimTime skew) {
 
   Simulator sim;
   Rng rng(1993);
+  // Declared before the endpoints: a registry outlives what binds to it.
+  MetricsRegistry reg;
+  ObsContext obs{&reg, nullptr};
   std::unique_ptr<IpFragTransportReceiver> receiver;
   std::unique_ptr<IpFragTransportSender> sender;
   std::unique_ptr<Link> forward;
   std::unique_ptr<Link> reverse;
-
-  MetricsRegistry reg;
-  ObsContext obs{&reg, nullptr};
 
   IpReceiverConfig rc;
   rc.app_buffer_bytes = kStreamBytes;

@@ -1,121 +1,114 @@
 #include "src/chunk/builder.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "src/common/bytes.hpp"
 
 namespace chunknet {
 
-std::vector<Chunk> frame_stream(std::span<const std::uint8_t> stream,
-                                const FramerOptions& opts) {
-  assert(opts.element_size > 0);
-  assert(stream.size() % opts.element_size == 0);
-  assert(opts.tpdu_elements > 0);
-
-  const std::uint32_t total =
-      static_cast<std::uint32_t>(stream.size() / opts.element_size);
-  std::vector<Chunk> out;
-  if (total == 0) return out;
-
-  // Element-indexed framing state.
-  std::uint32_t conn_sn = opts.first_conn_sn;
-  std::uint32_t tpdu_id = opts.first_tpdu_id;
-  std::uint32_t tpdu_sn = 0;
-  std::uint32_t xpdu_id = opts.first_xpdu_id;
-  std::uint32_t xpdu_sn = 0;
-  std::size_t xpdu_boundary_idx = 0;
-
-  auto xpdu_len = [&]() -> std::uint32_t {
-    if (opts.xpdu_boundaries.empty()) return opts.xpdu_elements;
-    return opts.xpdu_boundaries[xpdu_boundary_idx %
-                                opts.xpdu_boundaries.size()];
-  };
-
-  if (opts.implicit_ids) {
+StreamFramer::StreamFramer(std::span<const std::uint8_t> stream,
+                           FramerOptions opts)
+    : stream_(stream), opts_(std::move(opts)) {
+  assert(opts_.element_size > 0);
+  assert(stream_.size() % opts_.element_size == 0);
+  assert(opts_.tpdu_elements > 0);
+  total_ = static_cast<std::uint32_t>(stream_.size() / opts_.element_size);
+  conn_sn_ = opts_.first_conn_sn;
+  tpdu_id_ = opts_.first_tpdu_id;
+  xpdu_id_ = opts_.first_xpdu_id;
+  if (opts_.implicit_ids) {
     // Figure 7: choose IDs so that id == C.SN − PDU.SN. The difference
     // is then constant across the PDU and can replace the explicit ID.
-    tpdu_id = conn_sn - tpdu_sn;
-    xpdu_id = conn_sn - xpdu_sn;
+    tpdu_id_ = conn_sn_;
+    xpdu_id_ = conn_sn_;
   }
+}
 
-  std::uint32_t element = 0;
-  while (element < total) {
+std::uint32_t StreamFramer::xpdu_len() const {
+  if (opts_.xpdu_boundaries.empty()) return opts_.xpdu_elements;
+  return opts_.xpdu_boundaries[xpdu_boundary_idx_ %
+                               opts_.xpdu_boundaries.size()];
+}
+
+std::uint64_t StreamFramer::next_tpdu_bytes() const {
+  const std::uint32_t left = total_ - element_;
+  const std::uint32_t tpdu_left = opts_.tpdu_elements - tpdu_sn_;
+  return static_cast<std::uint64_t>(std::min(left, tpdu_left)) *
+         opts_.element_size;
+}
+
+std::size_t StreamFramer::tpdus_left() const {
+  const std::uint64_t left = total_ - element_;
+  return static_cast<std::size_t>((left + opts_.tpdu_elements - 1) /
+                                  opts_.tpdu_elements);
+}
+
+void StreamFramer::frame_tpdu(std::vector<Chunk>* out) {
+  bool tpdu_open = !done();
+  while (tpdu_open) {
     // Length of the current run: up to the nearest framing boundary.
-    const std::uint32_t tpdu_left = opts.tpdu_elements - tpdu_sn;
-    const std::uint32_t xpdu_left = xpdu_len() - xpdu_sn;
-    std::uint32_t run = tpdu_left < xpdu_left ? tpdu_left : xpdu_left;
-    if (run > total - element) run = total - element;
-    if (opts.max_chunk_elements > 0 && run > opts.max_chunk_elements) {
-      run = opts.max_chunk_elements;
+    const std::uint32_t tpdu_left = opts_.tpdu_elements - tpdu_sn_;
+    const std::uint32_t xpdu_left = xpdu_len() - xpdu_sn_;
+    std::uint32_t run = std::min(tpdu_left, xpdu_left);
+    run = std::min(run, total_ - element_);
+    if (opts_.max_chunk_elements > 0) {
+      run = std::min<std::uint32_t>(run, opts_.max_chunk_elements);
     }
-    if (run > 0xFFFFu) run = 0xFFFFu;  // LEN is a 16-bit field
+    run = std::min<std::uint32_t>(run, 0xFFFFu);  // LEN is a 16-bit field
 
     Chunk c;
     c.h.type = ChunkType::kData;
-    c.h.size = opts.element_size;
+    c.h.size = opts_.element_size;
     c.h.len = static_cast<std::uint16_t>(run);
-    c.h.conn = {opts.connection_id, conn_sn, false};
-    c.h.tpdu = {tpdu_id, tpdu_sn, false};
-    c.h.xpdu = {xpdu_id, xpdu_sn, false};
-    const std::size_t off = static_cast<std::size_t>(element) * opts.element_size;
-    const std::size_t bytes = static_cast<std::size_t>(run) * opts.element_size;
-    c.payload.assign(stream.begin() + static_cast<std::ptrdiff_t>(off),
-                     stream.begin() + static_cast<std::ptrdiff_t>(off + bytes));
+    c.h.conn = {opts_.connection_id, conn_sn_, false};
+    c.h.tpdu = {tpdu_id_, tpdu_sn_, false};
+    c.h.xpdu = {xpdu_id_, xpdu_sn_, false};
+    if (out != nullptr) {
+      const std::size_t size = opts_.element_size;
+      const auto bytes = stream_.subspan(std::size_t{element_} * size,
+                                         std::size_t{run} * size);
+      c.payload.assign(bytes.begin(), bytes.end());
+    }
 
-    element += run;
-    conn_sn += run;
-    tpdu_sn += run;
-    xpdu_sn += run;
+    element_ += run;
+    conn_sn_ += run;
+    tpdu_sn_ += run;
+    xpdu_sn_ += run;
 
     // Stop bits land on the chunk containing the final element of the
     // respective PDU (and only that chunk).
-    if (xpdu_sn == xpdu_len()) {
+    if (xpdu_sn_ == xpdu_len()) {
       c.h.xpdu.st = true;
-      xpdu_sn = 0;
-      ++xpdu_boundary_idx;
-      xpdu_id = opts.implicit_ids ? conn_sn : xpdu_id + 1;
+      xpdu_sn_ = 0;
+      ++xpdu_boundary_idx_;
+      xpdu_id_ = opts_.implicit_ids ? conn_sn_ : xpdu_id_ + 1;
     }
-    if (tpdu_sn == opts.tpdu_elements) {
+    if (tpdu_sn_ == opts_.tpdu_elements) {
       c.h.tpdu.st = true;
-      tpdu_sn = 0;
-      tpdu_id = opts.implicit_ids ? conn_sn : tpdu_id + 1;
+      tpdu_sn_ = 0;
+      tpdu_id_ = opts_.implicit_ids ? conn_sn_ : tpdu_id_ + 1;
+      tpdu_open = false;
     }
-    if (element == total) {
-      if (opts.final_element_ends_connection) c.h.conn.st = true;
+    if (done()) {
+      if (opts_.final_element_ends_connection) c.h.conn.st = true;
       // A stream that ends mid-PDU still terminates those PDUs: the
       // sender closes open framing at end of stream.
       c.h.tpdu.st = true;
       c.h.xpdu.st = true;
+      tpdu_open = false;
     }
-    out.push_back(std::move(c));
+    if (out != nullptr) out->push_back(std::move(c));
   }
-  return out;
 }
 
-std::vector<std::vector<Chunk>> group_by_tpdu(std::vector<Chunk> chunks) {
-  std::vector<std::vector<Chunk>> groups;
-  for (Chunk& c : chunks) {
-    if (!groups.empty() && !groups.back().empty() &&
-        groups.back().back().h.tpdu.id == c.h.tpdu.id &&
-        groups.back().back().h.conn.id == c.h.conn.id) {
-      groups.back().push_back(std::move(c));
-      continue;
-    }
-    bool placed = false;
-    for (auto& g : groups) {
-      if (!g.empty() && g.back().h.tpdu.id == c.h.tpdu.id &&
-          g.back().h.conn.id == c.h.conn.id) {
-        g.push_back(std::move(c));
-        placed = true;
-        break;
-      }
-    }
-    if (!placed) {
-      groups.emplace_back();
-      groups.back().push_back(std::move(c));
-    }
-  }
-  return groups;
+std::vector<Chunk> frame_stream(std::span<const std::uint8_t> stream,
+                                const FramerOptions& opts) {
+  StreamFramer framer(stream, opts);
+  std::vector<Chunk> out;
+  while (!framer.done()) framer.next_tpdu(out);
+  return out;
 }
 
 Chunk make_ed_chunk(std::uint32_t connection_id, std::uint32_t tpdu_id,

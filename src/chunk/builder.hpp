@@ -38,14 +38,51 @@ struct FramerOptions {
   bool final_element_ends_connection{true};  ///< set C.ST on last element
 };
 
-/// Splits a byte stream into data chunks under the three-level framing.
-/// The stream length must be a multiple of element_size.
+/// The three-level framer as a cursor over one stream: it holds the
+/// framing state and emits the next TPDU's data chunks on demand, so a
+/// sender can frame each TPDU when it is about to transmit it (the
+/// framings are independent of when the chunks are produced). The
+/// stream length must be a multiple of element_size, and the bytes must
+/// outlive the framer.
+class StreamFramer {
+ public:
+  StreamFramer() = default;
+  StreamFramer(std::span<const std::uint8_t> stream, FramerOptions opts);
+
+  bool done() const { return element_ == total_; }
+  /// T.ID the next TPDU carries.
+  std::uint32_t next_tpdu_id() const { return tpdu_id_; }
+  /// Payload bytes of the next TPDU (0 when done).
+  std::uint64_t next_tpdu_bytes() const;
+  /// TPDUs not yet framed.
+  std::size_t tpdus_left() const;
+
+  /// Appends the next TPDU's data chunks to `out` (nothing when done).
+  void next_tpdu(std::vector<Chunk>& out) { frame_tpdu(&out); }
+  /// Moves past the next TPDU without building its chunks.
+  void skip_tpdu() { frame_tpdu(nullptr); }
+
+ private:
+  void frame_tpdu(std::vector<Chunk>* out);
+  std::uint32_t xpdu_len() const;
+
+  std::span<const std::uint8_t> stream_;
+  FramerOptions opts_;
+  std::uint32_t total_{0};    ///< elements in the stream
+  std::uint32_t element_{0};  ///< next element to frame
+  std::uint32_t conn_sn_{0};
+  std::uint32_t tpdu_id_{0};
+  std::uint32_t tpdu_sn_{0};
+  std::uint32_t xpdu_id_{0};
+  std::uint32_t xpdu_sn_{0};
+  std::size_t xpdu_boundary_idx_{0};
+};
+
+/// Splits a byte stream into data chunks under the three-level framing
+/// (a StreamFramer run to the end). The stream length must be a
+/// multiple of element_size.
 std::vector<Chunk> frame_stream(std::span<const std::uint8_t> stream,
                                 const FramerOptions& opts);
-
-/// Groups chunks by T.ID (in first-seen order); used by senders that
-/// emit one ED chunk per TPDU and by tests.
-std::vector<std::vector<Chunk>> group_by_tpdu(std::vector<Chunk> chunks);
 
 /// Builds the TPDU error-detection control chunk (TYPE = ED, Figure 3):
 /// payload is the 8-byte WSC-2 code (P0 ‖ P1). The chunk inherits the

@@ -52,12 +52,17 @@ void EventLoop::del_fd(int fd) {
 }
 
 void EventLoop::pump_timers() {
-  const SimTime t = now();
-  while (sim_.pending() && sim_.next_event_at() <= t) {
-    stats_.timer_fires += sim_.run(t);
-  }
   // Even with nothing due, the transport reads sim().now() for stamps
-  // and arm_in() offsets — keep it tracking the wall clock.
+  // and arm_in() offsets, so the clock moves to wall time first and
+  // overdue deadlines fire there.
+  stats_.timer_fires += sim_.catch_up(now());
+}
+
+void EventLoop::sync_clock() {
+  SimTime t = now();
+  if (sim_.pending()) {
+    t = std::min(t, std::max<SimTime>(sim_.next_event_at(), 1) - 1);
+  }
   sim_.advance_to(t);
 }
 

@@ -66,6 +66,12 @@ class EventLoop {
   SimTimerWheel& timers() { return timers_; }
   SyscallShim& sys() { return *sys_; }
 
+  /// Moves the simulator clock toward wall time between pumps, without
+  /// running anything: it stops short of the earliest pending event, so
+  /// every deadline still fires from a pump. What a long synchronous
+  /// call queues is then stamped with the time it was queued.
+  void sync_clock();
+
   /// One poll iteration: fire due timers, sleep at most until the next
   /// deadline (capped by `max_wait` and cfg.max_poll), dispatch fd
   /// events, fire timers that came due meanwhile. Returns the number
@@ -90,7 +96,8 @@ class EventLoop {
   const Stats& stats() const { return stats_; }
 
  private:
-  /// Runs every due simulator event (which advances the wheel).
+  /// Moves the simulator clock to wall time and runs every event due
+  /// by then (which advances the wheel).
   void pump_timers();
 
   SyscallShim* sys_;

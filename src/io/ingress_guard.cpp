@@ -9,11 +9,17 @@ IngressGuard::IngressGuard(IngressGuardConfig cfg) : cfg_(cfg) {
   stats_binding_.bind(metrics_of(cfg_.obs), "ingress.", stats_,
                       {{"accepted", &Stats::accepted},
                        {"rate_limited", &Stats::rate_limited},
+                       {"earned_spent", &Stats::earned_spent},
                        {"malformed", &Stats::malformed},
                        {"refused_conn", &Stats::refused_conn}});
 }
 
 bool IngressGuard::take_token(Bucket& b, SimTime now) {
+  if (b.earned >= 1.0) {
+    b.earned -= 1.0;
+    ++stats_.earned_spent;
+    return true;
+  }
   if (now > b.refilled_at) {
     const double dt =
         static_cast<double>(now - b.refilled_at) / static_cast<double>(kSecond);
@@ -76,6 +82,12 @@ IngressGuard::Verdict IngressGuard::screen(const PacketBytes& bytes,
 
   ++stats_.accepted;
   return Verdict::kAccept;
+}
+
+void IngressGuard::earn(const UdpAddress& src, double tokens) {
+  if (Bucket* b = buckets_.find(src.key()); b != nullptr) {
+    b->earned = std::min(cfg_.burst, b->earned + tokens);
+  }
 }
 
 void IngressGuard::remember_refusal(std::uint32_t conn, SimTime now) {

@@ -8,7 +8,9 @@
 //     we spend cycles parsing its datagrams. Buckets live in a bounded
 //     FlatMap; when full, the guard falls back to a shared overflow
 //     bucket rather than growing without bound (an attacker rotating
-//     source ports must not allocate memory per port).
+//     source ports must not allocate memory per port). Credit the
+//     receiver grants a source also earns that source tokens (earn()),
+//     so an admitted connection is paced by its credit, not the bucket.
 //  2. Strict envelope decode — decode_packet_views() already rejects
 //     bad magic, truncated headers, and length fields that overrun the
 //     datagram. A datagram that fails here is counted and dropped;
@@ -66,6 +68,12 @@ class IngressGuard {
   Verdict screen(const PacketBytes& bytes, const UdpAddress& from,
                  SimTime now, std::vector<ChunkView>& views);
 
+  /// Credits `src` with `tokens` bought by credit the receiver just
+  /// granted it. Earned tokens are spent before the base bucket and
+  /// capped at `burst`. A source with no bucket of its own (never
+  /// screened, or sharing the overflow bucket) earns nothing.
+  void earn(const UdpAddress& src, double tokens);
+
   /// Remembers that the transport refused connection `conn` (unknown /
   /// evicted C.ID): future datagrams carrying only that C.ID are
   /// dropped at the door until the TTL lapses. Bounded: when full, the
@@ -82,6 +90,7 @@ class IngressGuard {
     std::uint64_t empty{0};
     std::uint64_t refused_conn{0};
     std::uint64_t untracked_sources{0};  ///< fell to the overflow bucket
+    std::uint64_t earned_spent{0};  ///< datagrams paid with earned tokens
     std::uint64_t refusals_remembered{0};
     std::uint64_t refusals_evicted{0};
   };
@@ -93,6 +102,7 @@ class IngressGuard {
   struct Bucket {
     double tokens;
     SimTime refilled_at;
+    double earned{0};  ///< tokens bought by granted credit
   };
   struct RefusedEntry {
     SimTime expires_at;

@@ -33,7 +33,14 @@ UdpEndpoint::UdpEndpoint(EventLoop& loop, UdpEndpointConfig cfg)
       cfg_(cfg),
       sys_(loop.sys()),
       own_pool_(cfg.max_datagram),
-      pool_(cfg.pool != nullptr ? cfg.pool : &own_pool_) {
+      pool_(cfg.pool != nullptr ? cfg.pool : &own_pool_),
+      tx_msgs_(cfg.tx_batch),
+      tx_iovs_(cfg.tx_batch),
+      tx_dests_(cfg.tx_batch),
+      rx_msgs_(cfg.rx_batch),
+      rx_iovs_(cfg.rx_batch),
+      rx_srcs_(cfg.rx_batch) {
+  rx_bufs_.reserve(cfg.rx_batch);
   if (cfg_.obs != nullptr && cfg_.obs->metrics != nullptr) {
     MetricsRegistry& m = *cfg_.obs->metrics;
     stats_binding_.bind(
@@ -178,24 +185,23 @@ void UdpEndpoint::flush() {
   while (!txq_.empty()) {
     const unsigned n = static_cast<unsigned>(
         std::min<std::size_t>(txq_.size(), cfg_.tx_batch));
-    // Build the sendmmsg batch over the queue head. iovecs point into
-    // the queued PacketBytes — valid until pop_front.
-    std::vector<mmsghdr> msgs(n);
-    std::vector<iovec> iovs(n);
-    std::vector<sockaddr_in> dests(n);
+    // Build the sendmmsg batch over the queue head in the member
+    // scratch. iovecs point into the queued PacketBytes — valid until
+    // pop_front.
     for (unsigned i = 0; i < n; ++i) {
       TxDatagram& d = txq_[i];
-      iovs[i].iov_base = d.bytes.data();
-      iovs[i].iov_len = d.bytes.size();
-      msgs[i].msg_hdr.msg_iov = &iovs[i];
-      msgs[i].msg_hdr.msg_iovlen = 1;
+      tx_iovs_[i].iov_base = d.bytes.data();
+      tx_iovs_[i].iov_len = d.bytes.size();
+      tx_msgs_[i] = mmsghdr{};
+      tx_msgs_[i].msg_hdr.msg_iov = &tx_iovs_[i];
+      tx_msgs_[i].msg_hdr.msg_iovlen = 1;
       if (d.explicit_dest && !cfg_.peer.has_value()) {
-        dests[i] = to_sockaddr(d.dest);
-        msgs[i].msg_hdr.msg_name = &dests[i];
-        msgs[i].msg_hdr.msg_namelen = sizeof(dests[i]);
+        tx_dests_[i] = to_sockaddr(d.dest);
+        tx_msgs_[i].msg_hdr.msg_name = &tx_dests_[i];
+        tx_msgs_[i].msg_hdr.msg_namelen = sizeof(tx_dests_[i]);
       }
     }
-    int sent = sys_.sys_sendmmsg(fd_, msgs.data(), n, 0);
+    int sent = sys_.sys_sendmmsg(fd_, tx_msgs_.data(), n, 0);
     if (sent < 0) {
       const int err = errno;
       last_errno_ = err;
@@ -320,27 +326,28 @@ void UdpEndpoint::handle_readable() {
 }
 
 int UdpEndpoint::rx_batch_once() {
-  if (fd_ < 0 || closed_) return -1;
+  // A callback that re-enters the read path while a batch is being
+  // delivered leaves the socket to the outer batch (the scratch below
+  // is in use).
+  if (fd_ < 0 || closed_ || !rx_bufs_.empty()) return -1;
   const unsigned n = cfg_.rx_batch;
-  std::vector<PooledBuffer> bufs;
-  bufs.reserve(n);
-  std::vector<mmsghdr> msgs(n);
-  std::vector<iovec> iovs(n);
-  std::vector<sockaddr_in> srcs(n);
+  // The batch lives in member scratch; buffers not handed on return to
+  // the pool when rx_bufs_ is cleared at the end.
   for (unsigned i = 0; i < n; ++i) {
-    bufs.push_back(pool_->acquire());
-    PacketBytes& b = bufs.back().bytes();
+    rx_bufs_.push_back(pool_->acquire());
+    PacketBytes& b = rx_bufs_.back().bytes();
     b.resize_uninitialized(cfg_.max_datagram);
-    iovs[i].iov_base = b.data();
-    iovs[i].iov_len = b.size();
-    msgs[i].msg_hdr.msg_iov = &iovs[i];
-    msgs[i].msg_hdr.msg_iovlen = 1;
-    msgs[i].msg_hdr.msg_name = &srcs[i];
-    msgs[i].msg_hdr.msg_namelen = sizeof(srcs[i]);
+    rx_iovs_[i].iov_base = b.data();
+    rx_iovs_[i].iov_len = b.size();
+    rx_msgs_[i] = mmsghdr{};
+    rx_msgs_[i].msg_hdr.msg_iov = &rx_iovs_[i];
+    rx_msgs_[i].msg_hdr.msg_iovlen = 1;
+    rx_msgs_[i].msg_hdr.msg_name = &rx_srcs_[i];
+    rx_msgs_[i].msg_hdr.msg_namelen = sizeof(rx_srcs_[i]);
   }
   int got;
   for (;;) {
-    got = sys_.sys_recvmmsg(fd_, msgs.data(), n, MSG_TRUNC);
+    got = sys_.sys_recvmmsg(fd_, rx_msgs_.data(), n, MSG_TRUNC);
     if (got >= 0) break;
     const int err = errno;
     if (err == EINTR) {
@@ -355,33 +362,31 @@ int UdpEndpoint::rx_batch_once() {
       continue;
     }
     last_errno_ = err;
+    rx_bufs_.clear();
     return -1;  // EAGAIN or a hard error: nothing readable now
   }
   // A successful batch proves the peer's socket exists again.
   if (got > 0) reconnect_backoff_ = 0;
   ++stats_.recvmmsg_calls;
-  int usable = 0;
   for (int i = 0; i < got; ++i) {
-    const std::size_t len = msgs[i].msg_len;
-    if ((msgs[i].msg_hdr.msg_flags & MSG_TRUNC) != 0 ||
+    const auto k = static_cast<std::size_t>(i);
+    const std::size_t len = rx_msgs_[k].msg_len;
+    if ((rx_msgs_[k].msg_hdr.msg_flags & MSG_TRUNC) != 0 ||
         len > cfg_.max_datagram) {
       // Datagram larger than our buffer: the tail is gone, and a
       // truncated envelope must never reach the decoder as if whole.
       ++stats_.rx_truncated_dropped;
       continue;
     }
-    PacketBytes& b = bufs[static_cast<std::size_t>(i)].bytes();
+    PacketBytes& b = rx_bufs_[k].bytes();
     b.resize_uninitialized(len);  // shrink: keeps the bytes, fixes size
     ++stats_.datagrams_received;
     stats_.bytes_received += len;
     if (on_datagram_) {
-      on_datagram_(std::move(bufs[static_cast<std::size_t>(i)]),
-                   from_sockaddr(srcs[static_cast<std::size_t>(i)]));
+      on_datagram_(std::move(rx_bufs_[k]), from_sockaddr(rx_srcs_[k]));
     }
-    ++usable;
   }
-  // Unused buffers return to the pool via ~PooledBuffer.
-  (void)usable;
+  rx_bufs_.clear();  // unused buffers return to the pool
   return got;
 }
 

@@ -29,11 +29,13 @@
 #pragma once
 
 #include <netinet/in.h>
+#include <sys/socket.h>
 
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <optional>
+#include <vector>
 
 #include "src/common/buffer_pool.hpp"
 #include "src/common/resource_governor.hpp"
@@ -188,6 +190,16 @@ class UdpEndpoint {
   DatagramCallback on_datagram_;
   std::function<void()> on_peer_unreachable_;
   std::function<void(bool)> on_backpressure_;
+
+  // sendmmsg/recvmmsg scratch, sized to tx_batch/rx_batch once, so a
+  // syscall allocates nothing.
+  std::vector<mmsghdr> tx_msgs_;
+  std::vector<iovec> tx_iovs_;
+  std::vector<sockaddr_in> tx_dests_;
+  std::vector<mmsghdr> rx_msgs_;
+  std::vector<iovec> rx_iovs_;
+  std::vector<sockaddr_in> rx_srcs_;
+  std::vector<PooledBuffer> rx_bufs_;  ///< empty between batches
 
   std::deque<TxDatagram> txq_;
   std::uint64_t txq_bytes_{0};

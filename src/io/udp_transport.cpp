@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "src/chunk/codec.hpp"
+#include "src/transport/signalling.hpp"
 
 namespace chunknet {
 
@@ -20,6 +21,9 @@ UdpSenderSession::UdpSenderSession(EventLoop& loop,
   if (sc.obs == nullptr) sc.obs = cfg.obs;
   if (sc.timers == nullptr) sc.timers = &loop.timers();
   sc.send_packet = [this](PacketBytes bytes) {
+    // The sender stamps and arms its RTO from sim().now() after
+    // queueing; keep that clock at wall time through a long call.
+    loop_.sync_clock();
     endpoint_->send(std::move(bytes));
   };
   sender_ =
@@ -77,6 +81,7 @@ UdpReceiverSession::UdpReceiverSession(EventLoop& loop,
   if (rc.timers == nullptr) rc.timers = &loop.timers();
   rc.send_control = [this](Chunk ctrl) {
     if (!reply_to_.has_value()) return;  // no admitted sender yet
+    earn_for_grant(ctrl);
     PacketBytes body =
         encode_packet(std::span<const Chunk>(&ctrl, 1), 1500);
     endpoint_->send_to(std::move(body), *reply_to_);
@@ -120,6 +125,19 @@ void UdpReceiverSession::handle_datagram(PooledBuffer&& buf,
     receiver_->on_chunk_view(cv, now, pkt_id);
   }
   view_scratch_.clear();
+}
+
+void UdpReceiverSession::earn_for_grant(const Chunk& ctrl) {
+  if (ctrl.h.type != ChunkType::kSignal ||
+      signal_kind(ctrl) != SignalKind::kCreditGrant) {
+    return;
+  }
+  const auto grant = parse_credit_grant(ctrl);
+  if (!grant || grant->credit_limit_bytes <= granted_limit_) return;
+  const std::uint64_t raised = grant->credit_limit_bytes - granted_limit_;
+  granted_limit_ = grant->credit_limit_bytes;
+  guard_->earn(*reply_to_, static_cast<double>(raised) /
+                               static_cast<double>(cfg_.endpoint.max_datagram));
 }
 
 bool UdpReceiverSession::run_until_complete(std::uint64_t total_elements,

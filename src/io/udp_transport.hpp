@@ -8,7 +8,10 @@
 // an IngressGuard first (rate limit, strict decode, refusal memory)
 // and then hands each ChunkView straight to on_chunk_view — the
 // zero-copy ingest path, with the pooled buffer held alive across the
-// views that point into it.
+// views that point into it. Every CreditGrant that raises the granted
+// limit earns the sender's address guard tokens for the new bytes (one
+// per max_datagram), so credit, not the guard's base rate, paces an
+// admitted connection.
 //
 // Shutdown is truthful: drain() flushes what it can until a deadline
 // and then reports exactly what was abandoned — TPDUs the sender gave
@@ -112,6 +115,9 @@ class UdpReceiverSession {
 
  private:
   void handle_datagram(PooledBuffer&& buf, const UdpAddress& from);
+  /// A control chunk on its way to reply_to_: a grant that raises the
+  /// limit earns that address guard tokens for the newly granted bytes.
+  void earn_for_grant(const Chunk& ctrl);
 
   EventLoop& loop_;
   UdpReceiverSessionConfig cfg_;
@@ -123,6 +129,7 @@ class UdpReceiverSession {
   /// Control replies go to the source of the last admitted datagram —
   /// which survives a SENDER restart from a new ephemeral port.
   std::optional<UdpAddress> reply_to_;
+  std::uint64_t granted_limit_{0};  ///< highest credit limit granted
 };
 
 }  // namespace chunknet

@@ -25,4 +25,16 @@ std::uint64_t Simulator::run(SimTime deadline) {
   return executed;
 }
 
+std::uint64_t Simulator::catch_up(SimTime t) {
+  advance_to(t);
+  std::uint64_t executed = 0;
+  while (!events_.empty() && events_.top().t <= now_) {
+    auto fn = std::move(const_cast<Event&>(events_.top()).fn);
+    events_.pop();
+    fn();
+    ++executed;
+  }
+  return executed;
+}
+
 }  // namespace chunknet

@@ -50,6 +50,15 @@ class Simulator {
   /// Returns the number of events executed.
   std::uint64_t run(SimTime deadline = ~SimTime{0});
 
+  /// The real-time pump: moves the clock to `t` (never backwards), then
+  /// runs every event due by then AT that time. A pump whose thread
+  /// stalled fires each overdue deadline once, at the current time,
+  /// instead of replaying the stall event by event at stale timestamps
+  /// (a re-armed RTO would otherwise fire again and again inside one
+  /// pump and spend its whole retry budget without reading an ACK).
+  /// Returns the number of events executed.
+  std::uint64_t catch_up(SimTime t);
+
   /// True if any event remains.
   bool pending() const { return !events_.empty(); }
 
@@ -60,10 +69,9 @@ class Simulator {
     return events_.empty() ? ~SimTime{0} : events_.top().t;
   }
 
-  /// Advances the clock without executing anything — how a real-time
-  /// pump tells the simulator "wall clock moved" so that schedule_in /
-  /// arm_in callers see fresh time even when no event fired. Call only
-  /// after run(t) has drained every event <= t; never moves backwards.
+  /// Advances the clock without executing anything, so schedule_in /
+  /// arm_in callers see fresh time between pumps. Call only with no
+  /// event pending at or before `t`; never moves backwards.
   void advance_to(SimTime t) {
     if (t > now_) now_ = t;
   }

@@ -84,68 +84,56 @@ void ChunkTransportSender::span(SpanEventKind kind, std::uint32_t tpdu_id,
 
 void ChunkTransportSender::send_stream(std::span<const std::uint8_t> stream) {
   started_ = true;
-  auto chunks = frame_stream(stream, cfg_.framer);
-  auto tpdus = group_by_tpdu(std::move(chunks));
+  stream_.assign(stream.begin(), stream.end());
+  framer_ = StreamFramer(stream_, cfg_.framer);
+  pump_admissions();
+}
 
-  for (auto& tpdu_chunks : tpdus) {
-    if (tpdu_chunks.empty()) continue;
-    const std::uint32_t tpdu_id = tpdu_chunks.front().h.tpdu.id;
-    const std::uint32_t conn_sn = tpdu_chunks.front().h.conn.sn;
+bool ChunkTransportSender::admit_next() {
+  const std::uint32_t tpdu_id = framer_.next_tpdu_id();
+  PendingTpdu pending;
+  framer_.next_tpdu(pending.chunks);
+  const std::uint32_t conn_sn = pending.chunks.front().h.conn.sn;
 
-    // Transmitter-side invariant: absorb the pristine chunks once.
-    TpduInvariant inv(cfg_.invariant);
-    bool ok = true;
-    for (const Chunk& c : tpdu_chunks) ok = inv.absorb(c) && ok;
-    if (!ok) continue;  // stream too large for the invariant layout
-
-    tpdu_chunks.push_back(make_ed_chunk(cfg_.framer.connection_id, tpdu_id,
-                                        conn_sn, inv.value()));
-    for (const Chunk& c : tpdu_chunks) {
-      trace_chunk(TraceEventKind::kChunkBuilt, c.h);
-    }
-
-    PendingTpdu pending;
-    for (const Chunk& c : tpdu_chunks) {
-      if (c.h.type == ChunkType::kData) pending.payload_bytes += c.payload.size();
-    }
-    pending.chunks = std::move(tpdu_chunks);
-    auto [it, inserted] = outstanding_.emplace(tpdu_id, std::move(pending));
-    ++stats_.tpdus_sent;
-    span(SpanEventKind::kTpduFramed, tpdu_id, it->second.payload_bytes);
-    if (cfg_.flow.enabled) {
-      send_queue_.push_back(tpdu_id);
-    } else {
-      it->second.admitted = true;
-      transmit_tpdu(tpdu_id, it->second);
-    }
+  // Transmitter-side invariant: absorb the pristine chunks once.
+  TpduInvariant inv(cfg_.invariant);
+  bool ok = true;
+  for (const Chunk& c : pending.chunks) {
+    ok = inv.absorb(c) && ok;
+    pending.payload_bytes += c.payload.size();
   }
-  if (cfg_.flow.enabled) pump_queue();
-}
+  if (!ok) return false;  // stream too large for the invariant layout
 
-void ChunkTransportSender::admit_tpdu(std::uint32_t tpdu_id, PendingTpdu& p) {
-  p.admitted = true;
-  credit_consumed_ += p.payload_bytes;
-  ++inflight_;
-  ++admit_epoch_;
-  span(SpanEventKind::kTpduAdmitted, tpdu_id, p.payload_bytes);
+  pending.chunks.push_back(make_ed_chunk(cfg_.framer.connection_id, tpdu_id,
+                                         conn_sn, inv.value()));
+  for (const Chunk& c : pending.chunks) {
+    trace_chunk(TraceEventKind::kChunkBuilt, c.h);
+  }
+  auto [it, inserted] = outstanding_.emplace(tpdu_id, std::move(pending));
+  PendingTpdu& p = it->second;
+  ++stats_.tpdus_sent;
+  span(SpanEventKind::kTpduFramed, tpdu_id, p.payload_bytes);
+  if (cfg_.flow.enabled) {
+    credit_consumed_ += p.payload_bytes;
+    ++inflight_;
+    ++admit_epoch_;
+    span(SpanEventKind::kTpduAdmitted, tpdu_id, p.payload_bytes);
+  }
   transmit_tpdu(tpdu_id, p);
+  return true;
 }
 
-void ChunkTransportSender::pump_queue() {
-  while (!send_queue_.empty()) {
-    auto it = outstanding_.find(send_queue_.front());
-    if (it == outstanding_.end()) {  // retired before admission (shouldn't
-      send_queue_.pop_front();       // happen, but never wedge on it)
-      continue;
-    }
-    if (inflight_ >= slots_ ||
-        credit_consumed_ + it->second.payload_bytes > credit_limit_) {
+void ChunkTransportSender::pump_admissions() {
+  while (!framer_.done()) {
+    if (cfg_.flow.enabled &&
+        (inflight_ >= slots_ ||
+         credit_consumed_ + framer_.next_tpdu_bytes() > credit_limit_)) {
       break;
     }
-    send_queue_.pop_front();
-    admit_tpdu(it->first, it->second);
+    admit_next();
   }
-  const bool now_blocked = !send_queue_.empty();
+  if (!cfg_.flow.enabled) return;
+  const bool now_blocked = !framer_.done();
   if (now_blocked && !blocked_) {
     ++stats_.flow_blocked;
   }
@@ -169,7 +157,7 @@ void ChunkTransportSender::arm_probe() {
   const std::uint64_t epoch = admit_epoch_;
   schedule_after(cfg_.flow.probe_timeout, [this, epoch] {
     probe_armed_ = false;
-    if (send_queue_.empty()) return;
+    if (framer_.done()) return;
     if (admit_epoch_ != epoch) {
       // Progress happened since arming; still blocked, so keep watch.
       arm_probe();
@@ -181,17 +169,15 @@ void ChunkTransportSender::arm_probe() {
     // its ACK or the grant it provokes re-opens the window.
     slots_ = std::max<std::uint16_t>(slots_ / 2, 1);
     ++stats_.zero_credit_probes;
-    auto it = outstanding_.find(send_queue_.front());
-    send_queue_.pop_front();
-    if (it != outstanding_.end()) admit_tpdu(it->first, it->second);
-    if (!send_queue_.empty()) arm_probe();
+    while (!framer_.done() && !admit_next()) {
+    }
+    if (!framer_.done()) arm_probe();
     publish_flow_gauges();
   });
 }
 
-void ChunkTransportSender::on_tpdu_retired(const PendingTpdu& p) {
-  if (!cfg_.flow.enabled || !p.admitted) return;
-  if (inflight_ > 0) --inflight_;
+void ChunkTransportSender::on_tpdu_retired() {
+  if (cfg_.flow.enabled && inflight_ > 0) --inflight_;
 }
 
 void ChunkTransportSender::handle_credit_grant(const Chunk& signal) {
@@ -226,13 +212,12 @@ void ChunkTransportSender::handle_credit_grant(const Chunk& signal) {
     slots_ = offered_slots;
   }
   credit_limit_ = grant->credit_limit_bytes;
-  pump_queue();
+  pump_admissions();
 }
 
 void ChunkTransportSender::transmit_tpdu(std::uint32_t tpdu_id,
                                          PendingTpdu& p) {
   ++p.attempts;
-  p.last_sent = sim_.now();
   if (p.attempts > 1) {
     p.retransmitted = true;
     for (const Chunk& c : p.chunks) {
@@ -251,23 +236,32 @@ void ChunkTransportSender::transmit_tpdu(std::uint32_t tpdu_id,
   } else {
     send_chunks(p.chunks);  // copies: the originals stay for retransmission
   }
+  // Stamped once queued: a real-time runtime may move the clock while
+  // the datagrams go out, and the RTO runs from when they left.
+  p.last_sent = sim_.now();
   arm_timer(tpdu_id);
 }
 
 std::size_t ChunkTransportSender::abandon_outstanding() {
   std::size_t n = 0;
+  auto give_up = [&](std::uint32_t tpdu_id) {
+    ++stats_.gave_up;
+    span(SpanEventKind::kTpduGaveUp, tpdu_id);
+    gave_up_ids_.push_back(tpdu_id);
+    ++n;
+  };
   while (!outstanding_.empty()) {
     auto it = outstanding_.begin();
-    ++stats_.gave_up;
-    span(SpanEventKind::kTpduGaveUp, it->first);
-    gave_up_ids_.push_back(it->first);
-    on_tpdu_retired(it->second);
+    give_up(it->first);
+    on_tpdu_retired();
     outstanding_.erase(it);
-    ++n;
   }
-  // Flow-queued ids point into outstanding_, so the loop above already
-  // abandoned them; just clear the queue so no timer re-admits a ghost.
-  send_queue_.clear();
+  // TPDUs still waiting for credit were never framed; account them by
+  // id and move the framer past them so no timer admits a ghost.
+  while (!framer_.done()) {
+    give_up(framer_.next_tpdu_id());
+    framer_.skip_tpdu();
+  }
   if (cfg_.flow.enabled) publish_flow_gauges();
   return n;
 }
@@ -284,9 +278,9 @@ void ChunkTransportSender::arm_timer(std::uint32_t tpdu_id) {
       ++stats_.gave_up;
       span(SpanEventKind::kTpduGaveUp, tpdu_id);
       gave_up_ids_.push_back(tpdu_id);
-      on_tpdu_retired(it->second);
+      on_tpdu_retired();
       outstanding_.erase(it);
-      if (cfg_.flow.enabled) pump_queue();
+      if (cfg_.flow.enabled) pump_admissions();
       return;
     }
     rto_.on_timeout();
@@ -393,9 +387,9 @@ void ChunkTransportSender::handle_gap_nak(const Chunk& signal) {
     ++stats_.gave_up;
     span(SpanEventKind::kTpduGaveUp, nak->tpdu_id);
     gave_up_ids_.push_back(nak->tpdu_id);
-    on_tpdu_retired(it->second);
+    on_tpdu_retired();
     outstanding_.erase(it);
-    if (cfg_.flow.enabled) pump_queue();
+    if (cfg_.flow.enabled) pump_admissions();
     return;
   }
   ++it->second.attempts;
@@ -433,8 +427,7 @@ void ChunkTransportSender::handle_gap_nak(const Chunk& signal) {
     }
   }
   if (resend.empty()) return;
-  it->second.last_sent = sim_.now();  // quiet the whole-TPDU backstop
-  it->second.retransmitted = true;    // Karn: later ACK is ambiguous
+  it->second.retransmitted = true;  // Karn: later ACK is ambiguous
   if (use_gather()) {
     send_chunk_views(resend);
   } else {
@@ -443,6 +436,7 @@ void ChunkTransportSender::handle_gap_nak(const Chunk& signal) {
     for (const ChunkView& piece : resend) owned.push_back(piece.to_chunk());
     send_chunks(std::move(owned));
   }
+  it->second.last_sent = sim_.now();  // quiet the whole-TPDU backstop
   arm_timer(nak->tpdu_id);
 }
 
@@ -474,9 +468,9 @@ void ChunkTransportSender::on_packet(SimPacket pkt) {
       }
       ++stats_.tpdus_acked;
       span(SpanEventKind::kTpduAcked, ack.tpdu_id);
-      on_tpdu_retired(it->second);
+      on_tpdu_retired();
       outstanding_.erase(it);
-      if (cfg_.flow.enabled) pump_queue();
+      if (cfg_.flow.enabled) pump_admissions();
     } else {
       // NAK: retransmit immediately with the same identifiers.
       ++stats_.naks;
@@ -484,9 +478,9 @@ void ChunkTransportSender::on_packet(SimPacket pkt) {
         ++stats_.gave_up;
         span(SpanEventKind::kTpduGaveUp, ack.tpdu_id);
         gave_up_ids_.push_back(ack.tpdu_id);
-        on_tpdu_retired(it->second);
+        on_tpdu_retired();
         outstanding_.erase(it);
-        if (cfg_.flow.enabled) pump_queue();
+        if (cfg_.flow.enabled) pump_admissions();
         continue;
       }
       ++stats_.retransmissions;

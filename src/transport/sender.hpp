@@ -9,10 +9,14 @@
 // identifiers as the originally transmitted data"), so late duplicates
 // of the first transmission are recognized and rejected by the
 // receiver's virtual reassembly.
+//
+// A TPDU is framed and coded only when it is admitted: when credit and
+// slots allow it, or at once without flow control. Framing cost is
+// spread over the transfer, and framed state never exceeds the
+// admitted window.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <span>
@@ -60,11 +64,11 @@ struct SenderConfig {
   /// representable under the profile.
   std::optional<CompressionProfile> compress_wire;
   /// Credit-based end-to-end flow control (docs/ROBUSTNESS.md,
-  /// "Overload control"). When enabled, framed TPDUs wait in a send
-  /// queue until the receiver's advertised credit (cumulative payload
-  /// bytes + open-TPDU slots, carried in CreditGrant signal chunks)
-  /// admits them; overload becomes sender-side queueing instead of
-  /// receiver-side eviction storms.
+  /// "Overload control"). When enabled, TPDUs wait unframed in the
+  /// send stream until the receiver's advertised credit (cumulative
+  /// payload bytes + open-TPDU slots, carried in CreditGrant signal
+  /// chunks) admits them; overload becomes sender-side queueing
+  /// instead of receiver-side eviction storms.
   struct FlowControlConfig {
     bool enabled{false};
     /// Credit assumed before the first grant arrives (bootstraps the
@@ -101,8 +105,9 @@ class ChunkTransportSender final : public PacketSink {
  public:
   ChunkTransportSender(Simulator& sim, SenderConfig cfg);
 
-  /// Frames and transmits the whole stream (length must be a multiple
-  /// of the framer element size). May be called once per connection.
+  /// Takes a copy of the stream (length must be a multiple of the
+  /// framer element size) and frames and transmits each TPDU as it is
+  /// admitted. May be called once per connection.
   void send_stream(std::span<const std::uint8_t> stream);
 
   /// Feedback channel: ACK/NAK chunks arrive here.
@@ -113,18 +118,20 @@ class ChunkTransportSender final : public PacketSink {
   /// "nothing left to send" — see finished()/failed().
   bool all_acked() const { return finished() && !failed(); }
   /// The sender has no more work (every TPDU was acked OR abandoned).
-  bool finished() const { return outstanding_.empty() && started_; }
+  bool finished() const {
+    return started_ && outstanding_.empty() && framer_.done();
+  }
   /// At least one TPDU was abandoned after max_retransmits.
   bool failed() const { return stats_.gave_up > 0; }
 
   const RtoEstimator& rto() const { return rto_; }
 
-  /// Gives up on EVERY still-outstanding TPDU right now (drain path:
-  /// the runtime is shutting down and will not wait out more RTO
-  /// cycles). Each abandoned TPDU is accounted exactly like a
-  /// max-retransmits give-up — stats().gave_up, the kTpduGaveUp span,
-  /// gave_up_tpdus() — so delivery accounting stays truthful. Returns
-  /// the number abandoned.
+  /// Gives up on EVERY still-outstanding TPDU right now, framed or
+  /// not (drain path: the runtime is shutting down and will not wait
+  /// out more RTO cycles). Each abandoned TPDU is accounted exactly
+  /// like a max-retransmits give-up — stats().gave_up, the kTpduGaveUp
+  /// span, gave_up_tpdus() — so delivery accounting stays truthful.
+  /// Returns the number abandoned.
   std::size_t abandon_outstanding();
 
   /// TPDU ids abandoned after max_retransmits, in give-up order. The
@@ -168,7 +175,7 @@ class ChunkTransportSender final : public PacketSink {
   const Stats& stats() const { return stats_; }
 
   /// Flow-control introspection (tests + benches).
-  std::size_t flow_queued() const { return send_queue_.size(); }
+  std::size_t flow_queued() const { return framer_.tpdus_left(); }
   std::size_t flow_inflight() const { return inflight_; }
   std::uint64_t credit_limit() const { return credit_limit_; }
   std::uint64_t credit_consumed() const { return credit_consumed_; }
@@ -183,8 +190,6 @@ class ChunkTransportSender final : public PacketSink {
     /// an ACK can no longer be matched to one transmission, so Karn's
     /// rule discards its RTT sample.
     bool retransmitted{false};
-    /// Flow control: past the credit gate (transmitted at least once).
-    bool admitted{false};
     std::uint64_t payload_bytes{0};  ///< data payload (credit currency)
   };
 
@@ -195,13 +200,16 @@ class ChunkTransportSender final : public PacketSink {
   void schedule_after(SimTime delay, std::function<void()> cb);
   void handle_gap_nak(const Chunk& signal);
   void handle_credit_grant(const Chunk& signal);
-  /// Admits queued TPDUs while credit and slots allow; arms the
-  /// zero-credit probe if the queue stays blocked.
-  void pump_queue();
-  void admit_tpdu(std::uint32_t tpdu_id, PendingTpdu& p);
+  /// Admits unframed TPDUs while credit and slots allow (all of them
+  /// without flow control); arms the zero-credit probe if the stream
+  /// stays blocked.
+  void pump_admissions();
+  /// Frames the next TPDU, codes it and transmits it. False when the
+  /// TPDU does not fit the invariant layout and was dropped unsent.
+  bool admit_next();
   void arm_probe();
-  /// An admitted TPDU left outstanding_ (acked or abandoned).
-  void on_tpdu_retired(const PendingTpdu& p);
+  /// A TPDU left outstanding_ (acked or abandoned).
+  void on_tpdu_retired();
   void publish_flow_gauges();
   void send_chunks(std::vector<Chunk> chunks);
   /// The zero-copy transmit: gather-packetizes views over chunks owned
@@ -223,6 +231,8 @@ class ChunkTransportSender final : public PacketSink {
   Gauge* credit_window_{nullptr};
   Gauge* inflight_tpdus_{nullptr};
   SpanRecorder* spans_{nullptr};  ///< resolved once; hot path
+  std::vector<std::uint8_t> stream_;  ///< the sender's copy of the stream
+  StreamFramer framer_;               ///< over stream_: what is not yet sent
   std::map<std::uint32_t, PendingTpdu> outstanding_;
   std::vector<std::uint32_t> gave_up_ids_;
   bool started_{false};
@@ -230,7 +240,6 @@ class ChunkTransportSender final : public PacketSink {
   StatsBinding stats_binding_;  ///< after stats_: publishes its fields
 
   // Flow-control state (only mutated when cfg_.flow.enabled).
-  std::deque<std::uint32_t> send_queue_;
   std::uint64_t credit_limit_{0};     ///< cumulative admit budget (bytes)
   std::uint64_t credit_consumed_{0};  ///< payload bytes admitted so far
   std::uint16_t slots_{0};            ///< open-TPDU window

@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "src/common/rng.hpp"
+#include "src/transport/invariant.hpp"
+
 namespace chunknet {
 namespace {
 
@@ -158,21 +163,187 @@ TEST(FrameStream, NoConnStopWhenDisabled) {
   EXPECT_TRUE(chunks.back().h.tpdu.st);
 }
 
-TEST(GroupByTpdu, GroupsPreservingOrder) {
+TEST(StreamFramer, EmitsOneTpduPerCallInOrder) {
   FramerOptions fo;
   fo.element_size = 1;
   fo.tpdu_elements = 4;
   fo.xpdu_elements = 2;
-  const auto chunks = frame_stream(stream_of(12), fo);
-  const auto groups = group_by_tpdu(chunks);
-  ASSERT_EQ(groups.size(), 3u);
-  for (const auto& g : groups) {
+  const auto stream = stream_of(12);
+  StreamFramer framer(stream, fo);
+  EXPECT_EQ(framer.tpdus_left(), 3u);
+  std::uint32_t expected_id = fo.first_tpdu_id;
+  while (!framer.done()) {
+    EXPECT_EQ(framer.next_tpdu_id(), expected_id);
+    EXPECT_EQ(framer.next_tpdu_bytes(), 4u);
+    std::vector<Chunk> tpdu;
+    framer.next_tpdu(tpdu);
     std::uint32_t elements = 0;
-    for (const Chunk& c : g) {
-      EXPECT_EQ(c.h.tpdu.id, g.front().h.tpdu.id);
+    for (const Chunk& c : tpdu) {
+      EXPECT_EQ(c.h.tpdu.id, expected_id);
       elements += c.h.len;
     }
     EXPECT_EQ(elements, 4u);
+    EXPECT_TRUE(tpdu.back().h.tpdu.st);
+    ++expected_id;
+  }
+  EXPECT_EQ(framer.tpdus_left(), 0u);
+  EXPECT_EQ(framer.next_tpdu_bytes(), 0u);
+}
+
+TEST(StreamFramer, SkipMovesPastATpduLikeFramingIt) {
+  FramerOptions fo;
+  fo.element_size = 4;
+  fo.tpdu_elements = 6;
+  fo.xpdu_boundaries = {5, 9};
+  fo.implicit_ids = true;
+  const auto stream = stream_of(4 * 40);
+  StreamFramer framed(stream, fo);
+  StreamFramer skipped(stream, fo);
+  std::vector<Chunk> discard;
+  framed.next_tpdu(discard);
+  framed.next_tpdu(discard);
+  skipped.skip_tpdu();
+  skipped.skip_tpdu();
+  EXPECT_EQ(skipped.next_tpdu_id(), framed.next_tpdu_id());
+  EXPECT_EQ(skipped.tpdus_left(), framed.tpdus_left());
+  std::vector<Chunk> a, b;
+  framed.next_tpdu(a);
+  skipped.next_tpdu(b);
+  EXPECT_EQ(a, b);
+}
+
+/// The whole-stream framer the sender used before framing became
+/// incremental: one pass over every element, then a grouping of the
+/// chunks by T.ID. Kept here as the differential oracle.
+std::vector<std::vector<Chunk>> oracle_tpdus(
+    std::span<const std::uint8_t> stream, const FramerOptions& opts) {
+  const auto total =
+      static_cast<std::uint32_t>(stream.size() / opts.element_size);
+  std::vector<Chunk> chunks;
+  std::uint32_t conn_sn = opts.first_conn_sn;
+  std::uint32_t tpdu_id = opts.first_tpdu_id;
+  std::uint32_t tpdu_sn = 0;
+  std::uint32_t xpdu_id = opts.first_xpdu_id;
+  std::uint32_t xpdu_sn = 0;
+  std::size_t xpdu_boundary_idx = 0;
+  auto xpdu_len = [&]() -> std::uint32_t {
+    if (opts.xpdu_boundaries.empty()) return opts.xpdu_elements;
+    return opts.xpdu_boundaries[xpdu_boundary_idx %
+                                opts.xpdu_boundaries.size()];
+  };
+  if (opts.implicit_ids) {
+    tpdu_id = conn_sn;
+    xpdu_id = conn_sn;
+  }
+  std::uint32_t element = 0;
+  while (element < total) {
+    std::uint32_t run = std::min(opts.tpdu_elements - tpdu_sn,
+                                 xpdu_len() - xpdu_sn);
+    run = std::min(run, total - element);
+    if (opts.max_chunk_elements > 0) {
+      run = std::min<std::uint32_t>(run, opts.max_chunk_elements);
+    }
+    run = std::min<std::uint32_t>(run, 0xFFFFu);
+    Chunk c;
+    c.h.type = ChunkType::kData;
+    c.h.size = opts.element_size;
+    c.h.len = static_cast<std::uint16_t>(run);
+    c.h.conn = {opts.connection_id, conn_sn, false};
+    c.h.tpdu = {tpdu_id, tpdu_sn, false};
+    c.h.xpdu = {xpdu_id, xpdu_sn, false};
+    const auto bytes = stream.subspan(
+        static_cast<std::size_t>(element) * opts.element_size,
+        static_cast<std::size_t>(run) * opts.element_size);
+    c.payload.assign(bytes.begin(), bytes.end());
+    element += run;
+    conn_sn += run;
+    tpdu_sn += run;
+    xpdu_sn += run;
+    if (xpdu_sn == xpdu_len()) {
+      c.h.xpdu.st = true;
+      xpdu_sn = 0;
+      ++xpdu_boundary_idx;
+      xpdu_id = opts.implicit_ids ? conn_sn : xpdu_id + 1;
+    }
+    if (tpdu_sn == opts.tpdu_elements) {
+      c.h.tpdu.st = true;
+      tpdu_sn = 0;
+      tpdu_id = opts.implicit_ids ? conn_sn : tpdu_id + 1;
+    }
+    if (element == total) {
+      if (opts.final_element_ends_connection) c.h.conn.st = true;
+      c.h.tpdu.st = true;
+      c.h.xpdu.st = true;
+    }
+    chunks.push_back(std::move(c));
+  }
+  // Group by T.ID in first-seen order (one pass: a stream's TPDUs are
+  // contiguous, so a new T.ID always opens a new group).
+  std::vector<std::vector<Chunk>> groups;
+  for (Chunk& c : chunks) {
+    if (groups.empty() || groups.back().back().h.tpdu.id != c.h.tpdu.id) {
+      groups.emplace_back();
+    }
+    groups.back().push_back(std::move(c));
+  }
+  return groups;
+}
+
+Wsc2Code ed_code(const std::vector<Chunk>& tpdu) {
+  TpduInvariant inv;
+  for (const Chunk& c : tpdu) EXPECT_TRUE(inv.absorb(c));
+  return inv.value();
+}
+
+TEST(StreamFramer, MatchesWholeStreamOracleOnRandomOptions) {
+  Rng rng(0xF7A3E5);
+  for (int trial = 0; trial < 200; ++trial) {
+    FramerOptions fo;
+    fo.connection_id = static_cast<std::uint32_t>(rng.range(1, 1000));
+    fo.element_size = static_cast<std::uint16_t>(1u << rng.below(5));
+    fo.tpdu_elements = static_cast<std::uint32_t>(rng.range(1, 64));
+    fo.xpdu_elements = static_cast<std::uint32_t>(rng.range(1, 64));
+    if (rng.below(2) == 0) {
+      // Cycled X-PDU lengths that do not line up with TPDUs.
+      const auto n = rng.range(1, 4);
+      for (std::uint64_t i = 0; i < n; ++i) {
+        fo.xpdu_boundaries.push_back(
+            static_cast<std::uint32_t>(rng.range(1, 50)));
+      }
+    }
+    fo.max_chunk_elements = static_cast<std::uint16_t>(rng.below(20));
+    fo.first_conn_sn = rng.below(2) == 0
+                           ? 0xFFFFFFFFu - static_cast<std::uint32_t>(
+                                               rng.below(300))
+                           : static_cast<std::uint32_t>(rng.below(1000));
+    fo.first_tpdu_id = static_cast<std::uint32_t>(rng.range(1, 100));
+    fo.first_xpdu_id = static_cast<std::uint32_t>(rng.range(1, 100));
+    fo.implicit_ids = rng.below(2) == 0;
+    fo.final_element_ends_connection = rng.below(2) == 0;
+    // Often not a whole number of TPDUs: the last one is partial.
+    const auto elements = rng.range(1, 400);
+    std::vector<std::uint8_t> stream(elements * fo.element_size);
+    for (auto& b : stream) b = static_cast<std::uint8_t>(rng.next());
+
+    const auto want = oracle_tpdus(stream, fo);
+    StreamFramer framer(stream, fo);
+    EXPECT_EQ(framer.tpdus_left(), want.size()) << "trial " << trial;
+    std::size_t i = 0;
+    while (!framer.done()) {
+      ASSERT_LT(i, want.size()) << "trial " << trial;
+      const std::uint64_t bytes = framer.next_tpdu_bytes();
+      std::vector<Chunk> got;
+      framer.next_tpdu(got);
+      ASSERT_EQ(got, want[i]) << "trial " << trial << " tpdu " << i;
+      std::uint64_t payload = 0;
+      for (const Chunk& c : got) payload += c.payload.size();
+      EXPECT_EQ(bytes, payload);
+      if (fo.element_size % 4 == 0) {  // WSC-2 codes 32-bit symbols
+        EXPECT_EQ(ed_code(got), ed_code(want[i]));
+      }
+      ++i;
+    }
+    EXPECT_EQ(i, want.size()) << "trial " << trial;
   }
 }
 

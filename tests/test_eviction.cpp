@@ -33,7 +33,10 @@ std::vector<std::vector<Chunk>> framed_tpdus(
   fo.tpdu_elements = 8;
   fo.xpdu_elements = 8;
   fo.max_chunk_elements = 4;
-  auto groups = group_by_tpdu(frame_stream(stream, fo));
+  std::vector<std::vector<Chunk>> groups;
+  for (StreamFramer framer(stream, fo); !framer.done();) {
+    framer.next_tpdu(groups.emplace_back());
+  }
   for (auto& g : groups) {
     TpduInvariant inv;
     for (const Chunk& c : g) inv.absorb(c);

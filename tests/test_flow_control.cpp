@@ -92,6 +92,27 @@ TEST(FlowControl, SenderBlocksOnInitialCreditThenGrantUnblocks) {
   EXPECT_EQ(h.sender->stats().credit_grants, 1u);
 }
 
+TEST(FlowControl, OnlyAdmittedTpdusAreFramed) {
+  SenderConfig::FlowControlConfig flow;
+  flow.initial_credit_bytes = 2048;  // exactly one TPDU
+  flow.initial_tpdu_slots = 8;
+  CapturingSender h(flow);
+
+  h.sender->send_stream(pattern(8192));  // four TPDUs
+  EXPECT_EQ(h.sender->stats().tpdus_sent, 1u);
+  EXPECT_FALSE(h.sender->finished());
+
+  // The drain abandons the framed TPDU and the three never framed, in
+  // stream order, each accounted like any other give-up.
+  EXPECT_EQ(h.sender->abandon_outstanding(), 4u);
+  EXPECT_EQ(h.sender->gave_up_tpdus(),
+            (std::vector<std::uint32_t>{1, 2, 3, 4}));
+  EXPECT_EQ(h.sender->stats().gave_up, 4u);
+  EXPECT_EQ(h.sender->flow_queued(), 0u);
+  EXPECT_TRUE(h.sender->finished());
+  EXPECT_FALSE(h.sender->all_acked());
+}
+
 TEST(FlowControl, SlotWindowCapsInflightTpdus) {
   SenderConfig::FlowControlConfig flow;
   flow.initial_credit_bytes = 1 << 20;  // credit is not the limit here

@@ -34,7 +34,7 @@ TEST(IoLoop, SimClockTracksWallClock) {
   loop.poll_once(2 * kMillisecond);
   loop.poll_once(2 * kMillisecond);
   const SimTime b = loop.sim().now();
-  // advance_to keeps sim time fresh even with no events pending.
+  // Each pump moves sim time to wall time even with no events pending.
   EXPECT_GT(b, a);
   EXPECT_LE(b, loop.now());
 }

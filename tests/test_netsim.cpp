@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <vector>
 
 #include "src/chunk/builder.hpp"
@@ -80,6 +81,27 @@ TEST(Simulator, PastSchedulingClampsToNow) {
   });
   sim.run();
   EXPECT_EQ(seen, 100u);
+}
+
+TEST(Simulator, CatchUpFiresEachOverdueEventOnceAtTheCurrentTime) {
+  Simulator sim;
+  // A 30 ms timer that re-arms itself, like an RTO that keeps resending.
+  std::vector<SimTime> fired_at;
+  std::function<void()> tick = [&] {
+    fired_at.push_back(sim.now());
+    sim.schedule_in(30 * kMillisecond, tick);
+  };
+  sim.schedule_at(30 * kMillisecond, tick);
+
+  // A stall far past the deadline: one fire, at the current time, and
+  // the re-armed deadline is measured from there.
+  EXPECT_EQ(sim.catch_up(kSecond), 1u);
+  ASSERT_EQ(fired_at.size(), 1u);
+  EXPECT_EQ(fired_at[0], kSecond);
+  EXPECT_EQ(sim.next_event_at(), kSecond + 30 * kMillisecond);
+
+  EXPECT_EQ(sim.catch_up(kSecond / 2), 0u);  // never moves backwards
+  EXPECT_EQ(sim.now(), kSecond);
 }
 
 SimPacket packet_of(Simulator& sim, std::size_t bytes) {

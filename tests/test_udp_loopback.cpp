@@ -7,12 +7,15 @@
 
 #include <errno.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
 #include "src/chunk/builder.hpp"
 #include "src/chunk/codec.hpp"
 #include "src/io/udp_transport.hpp"
+#include "src/transport/invariant.hpp"
+#include "src/transport/signalling.hpp"
 
 namespace chunknet {
 namespace {
@@ -446,6 +449,283 @@ TEST(UdpLoopback, GuardRefusalMemoryBlocksUnknownConnCheaply) {
   // The receiver itself never saw the refused packets.
   EXPECT_EQ(rx.receiver().stats().packets, 0u);
   EXPECT_EQ(rx.receiver().stats().foreign_chunks, 0u);
+}
+
+/// E15's bulk configuration: 4 KiB TPDUs, MTU 1400, credit flow
+/// control with a 512 KiB receiver window.
+SenderConfig bulk_sender_config() {
+  SenderConfig sc = fast_sender_config();
+  sc.framer.tpdu_elements = 1024;
+  sc.framer.xpdu_elements = 256;
+  sc.framer.max_chunk_elements = 256;
+  sc.flow.enabled = true;
+  sc.flow.initial_credit_bytes = 256 * 1024;
+  sc.flow.initial_tpdu_slots = 64;
+  return sc;
+}
+
+ReceiverConfig bulk_receiver_config(std::size_t stream_bytes) {
+  ReceiverConfig rc = fast_receiver_config(stream_bytes);
+  rc.grant_credit = true;
+  rc.credit_window_bytes = 512 * 1024;
+  rc.credit_tpdu_slots = 128;
+  return rc;
+}
+
+TEST(UdpLoopback, BulkTransferIsPacedByCreditNotTheGuard) {
+  EventLoop loop;
+  const auto stream = pattern(16u << 20);
+
+  UdpReceiverSessionConfig rcfg;  // default guard
+  rcfg.bind = UdpAddress{0x7f000001, 0};
+  rcfg.receiver = bulk_receiver_config(stream.size());
+  UdpReceiverSession rx(loop, rcfg);
+  ASSERT_TRUE(rx.ok());
+
+  UdpSenderSessionConfig scfg;
+  scfg.peer = rx.endpoint().local_addr();
+  scfg.sender = bulk_sender_config();
+  UdpSenderSession tx(loop, scfg);
+  ASSERT_TRUE(tx.ok());
+
+  tx.send_stream(stream);
+  // Only the admitted window is framed; the rest waits for credit.
+  EXPECT_LE(tx.sender().stats().tpdus_sent, 64u);
+  ASSERT_TRUE(rx.run_until_complete(stream.size() / kElem,
+                                    loop.now() + 60 * kSecond));
+  const DrainReport r = tx.drain(loop.now() + 10 * kSecond);
+  EXPECT_TRUE(r.clean);
+  EXPECT_EQ(r.tpdus_acked, stream.size() / 4096);
+  EXPECT_EQ(rx.drain(loop.now() + kSecond), 0u);
+
+  const auto got = rx.receiver().app_data();
+  ASSERT_EQ(got.size(), stream.size());
+  EXPECT_TRUE(std::equal(stream.begin(), stream.end(), got.begin()));
+  EXPECT_EQ(rx.guard().stats().rate_limited, 0u);
+  EXPECT_GT(rx.guard().stats().earned_spent, 0u);
+  EXPECT_EQ(rx.guard().stats().malformed, 0u);
+}
+
+/// Passes every call through, except that the clock jumps forward once
+/// at its first reading after jump_on_next_read(): a synchronous stall
+/// the loop never saw. It also records when each connected (sender)
+/// sendmmsg happens, in its own clock.
+class JumpingClock final : public SyscallShim {
+ public:
+  void jump_on_next_read(std::uint64_t by) { pending_ = by; }
+  std::uint64_t jumped_at() const { return jumped_at_; }
+  const std::vector<std::uint64_t>& sender_sends() const { return sends_; }
+
+  std::uint64_t sys_monotonic_ns() override {
+    const std::uint64_t real = SyscallShim::sys_monotonic_ns();
+    if (pending_ != 0) {
+      offset_ += pending_;
+      pending_ = 0;
+      jumped_at_ = real + offset_;
+    }
+    return real + offset_;
+  }
+  int sys_sendmmsg(int fd, mmsghdr* msgs, unsigned n, int flags) override {
+    if (n > 0 && msgs[0].msg_hdr.msg_name == nullptr) {
+      sends_.push_back(sys_monotonic_ns());
+    }
+    return SyscallShim::sys_sendmmsg(fd, msgs, n, flags);
+  }
+
+ private:
+  std::uint64_t pending_{0};
+  std::uint64_t offset_{0};
+  std::uint64_t jumped_at_{0};
+  std::vector<std::uint64_t> sends_;
+};
+
+TEST(UdpLoopback, StallInsideSendStreamFiresNoOverdueRto) {
+  JumpingClock clock;
+  EventLoopConfig lc;
+  lc.sys = &clock;
+  EventLoop loop(lc);
+  const auto stream = pattern(32 * 1024);  // 32 TPDUs, all admitted at once
+
+  UdpReceiverSessionConfig rcfg;
+  rcfg.bind = UdpAddress{0x7f000001, 0};
+  rcfg.receiver = fast_receiver_config(stream.size());
+  UdpReceiverSession rx(loop, rcfg);
+  ASSERT_TRUE(rx.ok());
+
+  UdpSenderSessionConfig scfg;
+  scfg.peer = rx.endpoint().local_addr();
+  scfg.sender = fast_sender_config();  // 30 ms RTO, 30 retries
+  UdpSenderSession tx(loop, scfg);
+  ASSERT_TRUE(tx.ok());
+
+  // 2 s is longer than the whole retry budget (31 x 30 ms): replaying
+  // the stall deadline by deadline would give up on every TPDU.
+  clock.jump_on_next_read(2 * kSecond);
+  tx.send_stream(stream);
+  const std::size_t first_sends = clock.sender_sends().size();
+  ASSERT_GT(first_sends, 0u);
+  ASSERT_NE(clock.jumped_at(), 0u);
+
+  ASSERT_TRUE(rx.run_until_complete(stream.size() / kElem,
+                                    loop.now() + 10 * kSecond));
+  ASSERT_TRUE(tx.run_until_finished(loop.now() + 10 * kSecond));
+  EXPECT_TRUE(tx.sender().all_acked());
+  EXPECT_EQ(tx.sender().stats().gave_up, 0u);
+  const auto got = rx.receiver().app_data();
+  EXPECT_TRUE(std::equal(stream.begin(), stream.end(), got.begin()));
+  // Every resend (the sender sends nothing else after the call) left
+  // at least one RTO after the datagrams were queued.
+  for (std::size_t i = first_sends; i < clock.sender_sends().size(); ++i) {
+    EXPECT_GE(clock.sender_sends()[i], clock.jumped_at() + 30 * kMillisecond)
+        << "resend " << i - first_sends << " fired early";
+  }
+}
+
+TEST(UdpLoopback, GuardBoundsASpoofedFloodByBasePlusGrantedTokens) {
+  EventLoop loop;
+  constexpr double kBurst = 16.0;
+  constexpr double kRate = 10.0;
+  constexpr std::size_t kTpdus = 4;
+  constexpr std::size_t kTpduBytes = std::size_t{kTpduElems} * kElem;
+
+  UdpReceiverSessionConfig rcfg;
+  rcfg.bind = UdpAddress{0x7f000001, 0};
+  rcfg.receiver = fast_receiver_config(kTpdus * kTpduBytes);
+  rcfg.receiver.grant_credit = true;
+  rcfg.receiver.credit_window_bytes = 8 * 1024;
+  rcfg.guard.rate_per_sec = kRate;
+  rcfg.guard.burst = kBurst;
+  UdpReceiverSession rx(loop, rcfg);
+  ASSERT_TRUE(rx.ok());
+
+  // The peer: a plain socket that sends real TPDUs (so the receiver
+  // grants it credit) and then floods from the same address, exactly
+  // as a spoofer of that address would.
+  UdpEndpointConfig pc;
+  pc.bind = UdpAddress{0x7f000001, 0};
+  pc.peer = rx.endpoint().local_addr();
+  UdpEndpoint peer(loop, pc);
+  ASSERT_TRUE(peer.ok());
+  std::uint64_t granted = 0;
+  peer.on_datagram([&](PooledBuffer&& buf, const UdpAddress&) {
+    for (const Chunk& c : decode_packet(buf.bytes()).chunks) {
+      if (c.h.type != ChunkType::kSignal) continue;
+      if (const auto g = parse_credit_grant(c)) {
+        granted = std::max(granted, g->credit_limit_bytes);
+      }
+    }
+  });
+
+  const SimTime t0 = loop.now();
+  const auto stream = pattern(kTpdus * kTpduBytes);
+  FramerOptions fo = fast_sender_config().framer;
+  fo.max_chunk_elements = 0;
+  for (StreamFramer framer(stream, fo); !framer.done();) {
+    std::vector<Chunk> tpdu;
+    framer.next_tpdu(tpdu);
+    TpduInvariant inv;
+    for (const Chunk& c : tpdu) inv.absorb(c);
+    tpdu.push_back(make_ed_chunk(kConn, tpdu.front().h.tpdu.id,
+                                 tpdu.front().h.conn.sn, inv.value()));
+    peer.send(PacketBytes(encode_packet(tpdu, 1400)));
+  }
+  ASSERT_TRUE(rx.run_until_complete(stream.size() / kElem,
+                                    loop.now() + 5 * kSecond));
+  loop.run_until([&] { return granted > 0; }, loop.now() + kSecond);
+  ASSERT_GT(granted, 0u);
+
+  constexpr int kFlood = 400;
+  for (int i = 0; i < kFlood; ++i) {
+    PacketBytes junk;
+    junk.resize_uninitialized(64);
+    for (std::size_t j = 0; j < junk.size(); ++j) {
+      junk.data()[j] = static_cast<std::uint8_t>(i + j);
+    }
+    peer.send(std::move(junk));
+  }
+  const auto& g = rx.guard().stats();
+  auto screened = [&] {
+    return g.accepted + g.rate_limited + g.malformed + g.empty +
+           g.refused_conn;
+  };
+  loop.run_until([&] { return screened() >= kTpdus + kFlood; },
+                 loop.now() + 5 * kSecond);
+  const double seconds = static_cast<double>(loop.now() - t0) / 1e9;
+
+  // Everything the guard let past its bucket — the real TPDUs and the
+  // flood alike — was paid for by base tokens (burst plus refill) or by
+  // tokens the receiver's own grants bought (one per max_datagram).
+  const double granted_tokens =
+      static_cast<double>(granted) /
+      static_cast<double>(rcfg.endpoint.max_datagram);
+  const std::uint64_t passed = screened() - g.rate_limited;
+  EXPECT_LE(static_cast<double>(passed),
+            kBurst + kRate * seconds + granted_tokens);
+  EXPECT_GT(g.earned_spent, 0u);
+  EXPECT_LE(static_cast<double>(g.earned_spent), granted_tokens);
+  EXPECT_GT(g.rate_limited, 0u);
+}
+
+TEST(IngressGuardCredit, UngrantedSourcesEarnNothing) {
+  IngressGuardConfig gc;
+  gc.rate_per_sec = 1.0;
+  gc.burst = 4.0;
+  IngressGuard guard(gc);
+  const PacketBytes junk(std::vector<std::uint8_t>(40, 0xEE));
+  const UdpAddress granted{0x7f000001, 4000};
+  const UdpAddress bystander{0x7f000001, 4001};
+  const UdpAddress unseen{0x7f000001, 4002};
+  std::vector<ChunkView> views;
+  const SimTime now = kSecond;
+
+  guard.screen(junk, granted, now, views);  // gives it a bucket
+  guard.earn(granted, 100.0);
+  guard.earn(unseen, 100.0);  // no bucket yet: earns nothing
+
+  auto passed = [&](const UdpAddress& from) {
+    int n = 0;
+    for (int i = 0; i < 50; ++i) {
+      if (guard.screen(junk, from, now, views) !=
+          IngressGuard::Verdict::kRateLimited) {
+        ++n;
+      }
+    }
+    return n;
+  };
+  EXPECT_EQ(passed(bystander), 4);  // its burst, nothing more
+  EXPECT_EQ(passed(unseen), 4);
+  EXPECT_EQ(guard.stats().earned_spent, 0u);
+  // The granted source: 4 earned (capped at burst) + 3 base tokens left.
+  EXPECT_EQ(passed(granted), 4 + 3);
+  EXPECT_EQ(guard.stats().earned_spent, 4u);
+}
+
+TEST(IngressGuardCredit, EarnedTokensAreSpentFirstAndCappedAtBurst) {
+  IngressGuardConfig gc;
+  gc.rate_per_sec = 1.0;
+  gc.burst = 8.0;
+  IngressGuard guard(gc);
+  const PacketBytes junk(std::vector<std::uint8_t>(40, 0xEE));
+  const UdpAddress from{0x7f000001, 4000};
+  std::vector<ChunkView> views;
+  const SimTime now = kSecond;
+
+  guard.screen(junk, from, now, views);  // one base token spent
+  guard.earn(from, 3.0);
+  guard.screen(junk, from, now, views);
+  EXPECT_EQ(guard.stats().earned_spent, 1u);  // earned before base
+
+  guard.earn(from, 1000.0);  // far past the cap
+  int passed = 0;
+  for (int i = 0; i < 100; ++i) {
+    if (guard.screen(junk, from, now, views) !=
+        IngressGuard::Verdict::kRateLimited) {
+      ++passed;
+    }
+  }
+  // 8 earned (the cap) plus the 7 base tokens still in the bucket.
+  EXPECT_EQ(passed, 8 + 7);
+  EXPECT_EQ(guard.stats().earned_spent, 1u + 8u);
 }
 
 }  // namespace
